@@ -6,14 +6,14 @@
 // Usage:
 //
 //	fcaeserver -db DIR [-addr 127.0.0.1:4490] [-admin 127.0.0.1:4491]
-//	           [-backend cpu|fcae] [-engine_n 9] [-engine_v 8]
-//	           [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0]
-//	           [-priority-lanes=true] [-arena-bytes 0]
+//	           [-backend cpu|fcae] [-workers 2] [-device-channels 1]
+//	           [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true] [-arena-bytes 0]
 //	           [-max-inflight 256] [-write-queue 1024] [-commit-window 0]
 //	           [-group-ops 512] [-group-bytes 1048576] [-max-scan 1024]
 //
-// The store flags mirror cmd/dbbench so a served store and a library
-// benchmark run the same offload configuration.
+// The store flags (-backend through -arena-bytes) are shared with
+// cmd/dbbench and cmd/ycsb (see internal/storeflags), so a served store
+// and a library benchmark run the same offload configuration.
 package main
 
 import (
@@ -25,21 +25,14 @@ import (
 	"time"
 
 	"fcae"
+	"fcae/internal/storeflags"
 )
 
 func main() {
 	dir := flag.String("db", "", "database directory (required)")
 	addr := flag.String("addr", "127.0.0.1:4490", "KV protocol listen address")
 	admin := flag.String("admin", "127.0.0.1:4491", "HTTP admin listen address (empty disables)")
-	backend := flag.String("backend", "cpu", "compaction backend: cpu or fcae")
-	engineN := flag.Int("engine_n", 9, "FCAE decoder lanes")
-	engineV := flag.Int("engine_v", 8, "FCAE value lane width")
-	workers := flag.Int("compaction-workers", 1, "concurrent background compaction workers")
-	channels := flag.Int("device-channels", 1, "device channels behind the scheduler; backend=fcae only")
-	faultRate := flag.Float64("fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector RNG seed")
-	priorityLanes := flag.Bool("priority-lanes", true, "dispatch L0 jobs ahead of deep-level jobs")
-	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size; backend=fcae only")
+	store := storeflags.Bind(flag.CommandLine)
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently-executing requests (0 = default 256)")
 	writeQueue := flag.Int("write-queue", 0, "group-commit queue capacity (0 = default 1024)")
 	commitWindow := flag.Duration("commit-window", 0, "group-commit collection window (0 = opportunistic)")
@@ -52,40 +45,10 @@ func main() {
 		fatal(fmt.Errorf("-db is required"))
 	}
 
-	opts := fcae.Options{CompactionWorkers: *workers}
-	opts.DispatchConfig.Tuning = fcae.DispatchTuning{DisablePriorityLanes: !*priorityLanes}
-	switch *backend {
-	case "fcae":
-		cfg := fcae.MultiInputEngineConfig()
-		cfg.N = *engineN
-		cfg.V = *engineV
-		cfg.StagingBytes = *arenaBytes
-		if *channels < 1 {
-			fatal(fmt.Errorf("-device-channels must be >= 1, got %d", *channels))
-		}
-		devs := make([]fcae.CompactionExecutor, *channels)
-		for i := range devs {
-			exec, err := fcae.NewEngineExecutor(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			devs[i] = exec
-		}
-		opts.DispatchConfig.Devices = devs
-		if *faultRate > 0 {
-			opts.DispatchConfig.FaultInjector = fcae.NewProbInjector(*faultSeed, *faultRate)
-		}
-	case "cpu":
-		if *faultRate > 0 {
-			fatal(fmt.Errorf("-fault-rate requires -backend fcae"))
-		}
-		if *arenaBytes != 0 {
-			fatal(fmt.Errorf("-arena-bytes requires -backend fcae"))
-		}
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
+	opts, err := store.Options()
+	if err != nil {
+		fatal(err)
 	}
-
 	srv, err := fcae.OpenServer(*dir, opts, fcae.ServerConfig{
 		Addr:           *addr,
 		AdminAddr:      *admin,
@@ -103,7 +66,7 @@ func main() {
 	if a := srv.AdminAddr(); a != nil {
 		fmt.Printf(" (admin %s)", a)
 	}
-	fmt.Printf(" backend=%s workers=%d channels=%d\n", *backend, *workers, *channels)
+	fmt.Printf(" backend=%s workers=%d channels=%d\n", store.Backend, store.Workers, store.Channels)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

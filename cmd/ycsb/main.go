@@ -5,28 +5,24 @@
 // Usage:
 //
 //	ycsb [-db DIR] [-workloads load,a,b,c,d,e,f] [-records 100000]
-//	     [-ops 100000] [-value_size 1024] [-backend cpu|fcae]
-//	     [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0]
-//	     [-priority-lanes=true] [-arena-bytes 0] [-metrics]
+//	     [-ops 100000] [-value_size 1024] [-seed 7] [-metrics]
+//	     [-backend cpu|fcae] [-workers 2] [-device-channels 1]
+//	     [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true] [-arena-bytes 0]
 //	     [-addr host:port] [-admin host:port] [-client-conns 2] [-pipeline 128]
 //
-// -device-channels builds that many engine instances behind the offload
-// scheduler (backend=fcae only); -compaction-workers runs that many
-// background compactors; -fault-rate injects device faults at the given
-// probability. -priority-lanes=false collapses the scheduler's
-// two-priority queue to a single FIFO; -arena-bytes sizes each channel's
-// persistent device-memory staging arena (0 = modeled default, negative
-// disables; backend=fcae only). -metrics dumps the final metrics
-// snapshot as JSON on stdout, machine-readable for BENCH_*.json tooling.
+// The store flags (-backend through -arena-bytes) are shared with
+// cmd/dbbench and cmd/fcaeserver; see internal/storeflags. -metrics dumps
+// the final metrics snapshot as JSON on stdout, machine-readable for
+// BENCH_*.json tooling.
 //
 // Network mode: -addr drives the same workloads through the
 // server/client wire protocol instead of the library; the store flags
-// (-db, -backend, -compaction-workers, ...) belong to the server process
-// and are rejected here. Writes shed by the server's admission control
-// (busy) are retried with backoff and counted. With -metrics, the
-// snapshot is scraped from the server's admin /metrics endpoint (-admin,
-// default derived from -addr by incrementing the port), so it includes
-// the server_* and dispatch_* instruments of the serving process.
+// (-db, -backend, -workers, ...) belong to the server process and are
+// rejected here. Writes shed by the server's admission control (busy)
+// are retried with backoff and counted. With -metrics, the snapshot is
+// scraped from the server's admin /metrics endpoint (-admin, default
+// derived from -addr by incrementing the port), so it includes the
+// server_* and dispatch_* instruments of the serving process.
 package main
 
 import (
@@ -42,6 +38,7 @@ import (
 	"time"
 
 	"fcae"
+	"fcae/internal/storeflags"
 	"fcae/internal/workload"
 )
 
@@ -141,12 +138,7 @@ func main() {
 	records := flag.Int("records", 100000, "records loaded before the mixed workloads")
 	ops := flag.Int("ops", 100000, "operations per workload")
 	valueSize := flag.Int("value_size", 1024, "value length in bytes")
-	backend := flag.String("backend", "cpu", "compaction backend: cpu or fcae; in-process mode only")
-	workers := flag.Int("compaction-workers", 1, "concurrent background compaction workers; in-process mode only")
-	channels := flag.Int("device-channels", 1, "device channels (engine instances) behind the scheduler; backend=fcae only")
-	faultRate := flag.Float64("fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
-	priorityLanes := flag.Bool("priority-lanes", true, "dispatch L0 jobs ahead of deep-level jobs (false = single FIFO)")
-	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size (0 = modeled default, <0 disables); backend=fcae only")
+	storeFlags := storeflags.Bind(flag.CommandLine)
 	seed := flag.Int64("seed", 7, "RNG seed; every generator derives from this one stream")
 	metrics := flag.Bool("metrics", false, "dump the final metrics snapshot as JSON")
 	addr := flag.String("addr", "", "fcaeserver KV address; set to run over the wire instead of in-process")
@@ -157,18 +149,12 @@ func main() {
 
 	var store kv
 	if *addr != "" {
-		for flagName, bad := range map[string]bool{
-			"-db":                 *dir != "",
-			"-backend":            *backend != "cpu",
-			"-compaction-workers": *workers != 1,
-			"-device-channels":    *channels != 1,
-			"-fault-rate":         *faultRate != 0,
-			"-arena-bytes":        *arenaBytes != 0,
-			"-priority-lanes":     !*priorityLanes,
-		} {
-			if bad {
-				fatal(fmt.Errorf("%s configures the store and conflicts with -addr: set it on the fcaeserver process", flagName))
-			}
+		flags := storeFlags.Explicit()
+		if *dir != "" {
+			flags = append([]string{"-db"}, flags...)
+		}
+		if len(flags) > 0 {
+			fatal(fmt.Errorf("store flags %s conflict with -addr: set them on the fcaeserver process", strings.Join(flags, ", ")))
 		}
 		cl, err := fcae.DialServer(fcae.ClientOptions{
 			Addr:        *addr,
@@ -182,6 +168,10 @@ func main() {
 		store = &netKV{cl: cl}
 		fmt.Printf("fcae ycsb: addr=%s records=%d ops=%d value=%dB\n", *addr, *records, *ops, *valueSize)
 	} else {
+		opts, err := storeFlags.Options()
+		if err != nil {
+			fatal(err)
+		}
 		if *dir == "" {
 			d, err := os.MkdirTemp("", "fcae-ycsb-")
 			if err != nil {
@@ -190,39 +180,13 @@ func main() {
 			defer os.RemoveAll(d)
 			*dir = d
 		}
-		// -compaction-workers keeps its historical meaning (N merge compactors
-		// implies N+1 pool workers); the rest feeds DispatchConfig.
-		opts := fcae.Options{CompactionWorkers: *workers}
-		opts.DispatchConfig.Tuning = fcae.DispatchTuning{DisablePriorityLanes: !*priorityLanes}
-		if *backend == "fcae" {
-			if *channels < 1 {
-				fatal(fmt.Errorf("-device-channels must be >= 1, got %d", *channels))
-			}
-			cfg := fcae.MultiInputEngineConfig()
-			cfg.StagingBytes = *arenaBytes
-			devs := make([]fcae.CompactionExecutor, *channels)
-			for i := range devs {
-				devs[i] = fcae.MustNewEngineExecutor(cfg)
-			}
-			opts.DispatchConfig.Devices = devs
-			if *faultRate > 0 {
-				opts.DispatchConfig.FaultInjector = fcae.NewProbInjector(*seed, *faultRate)
-			}
-		} else {
-			if *faultRate > 0 {
-				fatal(fmt.Errorf("-fault-rate requires -backend fcae (no device to fault)"))
-			}
-			if *arenaBytes != 0 {
-				fatal(fmt.Errorf("-arena-bytes requires -backend fcae (no device memory to stage)"))
-			}
-		}
 		db, err := fcae.Open(*dir, opts)
 		if err != nil {
 			fatal(err)
 		}
 		defer db.Close()
 		store = &dbKV{db: db}
-		fmt.Printf("fcae ycsb: backend=%s records=%d ops=%d value=%dB\n", *backend, *records, *ops, *valueSize)
+		fmt.Printf("fcae ycsb: backend=%s records=%d ops=%d value=%dB\n", storeFlags.Backend, *records, *ops, *valueSize)
 	}
 
 	inserted := uint64(0)

@@ -22,8 +22,10 @@ func main() {
 	dir := filepath.Join(root, "db")
 
 	db, err := fcae.Open(dir, fcae.Options{
-		Executor:      fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
 		MemTableBytes: 1 << 20,
+		DispatchConfig: fcae.DispatchConfig{
+			Devices: []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

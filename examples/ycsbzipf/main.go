@@ -26,8 +26,10 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	db, err := fcae.Open(dir, fcae.Options{
-		Executor:      fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
 		MemTableBytes: 2 << 20,
+		DispatchConfig: fcae.DispatchConfig{
+			Devices: []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

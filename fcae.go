@@ -17,8 +17,10 @@
 //   - Engine configuration: EngineConfig describes a synthesized engine
 //     (decoder lanes N, value lane width V, AXI widths, clock);
 //     DefaultEngineConfig and MultiInputEngineConfig are the paper's two
-//     build points, NewEngineExecutor turns one into a CompactionExecutor
-//     for Options.Executor, and CPUExecutor is the software baseline.
+//     build points, and NewEngineExecutor turns one into a device channel
+//     for Options.DispatchConfig.Devices. Merges with no device channel,
+//     or too wide for one, run on the pipelined software compactor, the
+//     paper's CPU baseline.
 //
 //   - Observability: an EventListener set in Options receives typed
 //     lifecycle events (flushes, compactions with per-phase Trace spans
@@ -37,13 +39,17 @@
 //
 // Quickstart:
 //
-//	db, err := fcae.Open(dir, fcae.Options{Executor: fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())})
+//	var opts fcae.Options
+//	opts.DispatchConfig.Devices = []fcae.CompactionExecutor{
+//		fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
+//	}
+//	db, err := fcae.Open(dir, opts)
 //	...
 //	db.Put([]byte("k"), []byte("v"))
 //	v, err := db.Get([]byte("k"))
 //
-// Omitting Executor selects the software (CPU) compactor, the paper's
-// baseline.
+// Leaving DispatchConfig.Devices empty runs every merge on the software
+// (CPU) compactor, the paper's baseline.
 package fcae
 
 import (
@@ -84,17 +90,16 @@ type (
 	EngineConfig = core.Config
 	// EngineUtilization is a chip resource estimate (paper Table VII).
 	EngineUtilization = core.Utilization
-	// CompactionExecutor executes merge jobs; implemented by the CPU
-	// reference executor and the FCAE engine executor.
+	// CompactionExecutor executes merge jobs; implemented by the FCAE
+	// engine executor (NewEngineExecutor) and the store's software lane.
 	CompactionExecutor = compaction.Executor
 )
 
-// Offload-scheduler types. Options.DispatchConfig consolidates the device
-// channel pool, the shared flush/compaction worker-pool size, the fault
-// injector and the scheduler tuning in one place (the former
-// Options.{DeviceExecutors,CompactionWorkers,FaultInjector,Dispatch}
-// fields remain as deprecated aliases). DB.DispatchStats reports the
-// per-lane routing counters.
+// Offload-scheduler types. Options.DispatchConfig holds the whole
+// compaction configuration: the device channel pool, the shared
+// flush/compaction worker-pool size, the fault injector and the
+// scheduler tuning. DB.DispatchStats reports the per-lane routing
+// counters.
 type (
 	// DispatchConfig consolidates the offload scheduler's configuration:
 	// device channels, shared worker-pool size, fault injection and
@@ -119,7 +124,8 @@ type (
 	// the per-reason fallback counts.
 	DispatchStats = dispatch.Stats
 	// FaultInjector decides, per device attempt, whether and how the
-	// simulated device misbehaves. Set it in Options.FaultInjector.
+	// simulated device misbehaves. Set it in
+	// Options.DispatchConfig.FaultInjector.
 	FaultInjector = dispatch.FaultInjector
 	// Fault is one injected misbehavior: an error, a mid-merge write
 	// failure, a stall or added latency.
@@ -330,9 +336,10 @@ func DefaultEngineConfig() EngineConfig { return core.DefaultConfig() }
 func MultiInputEngineConfig() EngineConfig { return core.MultiInputConfig() }
 
 // NewEngineExecutor returns a compaction executor backed by a simulated
-// FCAE engine with cfg. Pass it in Options.Executor; jobs whose fan-in
-// exceeds cfg.N fall back to software automatically (paper §VI-A). The
-// executor also publishes engine_* gauges into DB.Metrics.
+// FCAE engine with cfg. Add it to Options.DispatchConfig.Devices, one
+// instance per device channel; jobs whose fan-in exceeds cfg.N fall back
+// to software automatically (paper §VI-A). The executor also publishes
+// engine_* gauges into DB.Metrics.
 func NewEngineExecutor(cfg EngineConfig) (CompactionExecutor, error) {
 	return core.NewExecutor(cfg)
 }
@@ -345,19 +352,4 @@ func MustNewEngineExecutor(cfg EngineConfig) CompactionExecutor {
 		panic(err)
 	}
 	return x
-}
-
-// CPUExecutor returns the software reference compactor (the paper's CPU
-// baseline). It is also the implicit default when Options.Executor is nil.
-func CPUExecutor() CompactionExecutor { return compaction.CPU{} }
-
-// PipelinedCPUExecutor returns the software compactor with its
-// stage-parallel data path enabled: per-run block read-ahead, the merge,
-// and a pool of encoder workers run concurrently with byte-identical
-// outputs. depth is the bounded queue depth per stage (<= 0 falls back
-// to the sequential path); encoders <= 0 selects min(GOMAXPROCS, 4).
-// Equivalent to setting DispatchTuning.PipelineDepth/PipelineEncoders
-// without an explicit Executor.
-func PipelinedCPUExecutor(depth, encoders int) CompactionExecutor {
-	return compaction.CPU{Pipeline: compaction.PipelineConfig{Depth: depth, Encoders: encoders}}
 }

@@ -33,10 +33,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIWithEngine(t *testing.T) {
 	opts := fcae.Options{
-		Executor:           fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
 		MemTableBytes:      32 << 10,
 		BaseLevelBytes:     128 << 10,
 		MaxOutputFileBytes: 32 << 10,
+		DispatchConfig: fcae.DispatchConfig{
+			Devices: []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())},
+		},
 	}
 	db, err := fcae.Open(t.TempDir(), opts)
 	if err != nil {
@@ -129,7 +131,9 @@ func TestPublicAPITieredMode(t *testing.T) {
 		MemTableBytes:      32 << 10,
 		BaseLevelBytes:     128 << 10,
 		MaxOutputFileBytes: 32 << 10,
-		Executor:           fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
+		DispatchConfig: fcae.DispatchConfig{
+			Devices: []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())},
+		},
 	}
 	db, err := fcae.Open(t.TempDir(), opts)
 	if err != nil {

@@ -63,29 +63,27 @@ func (e *nullEnv) NewOutput() (uint64, io.WriteCloser, error) {
 	return e.next, nullFile{}, nil
 }
 
-// BenchmarkCompactPipeline compares the sequential and pipelined CPU data
-// paths on the 2-run workload. The acceptance bar is >= 1.3x pipelined
-// throughput at 4+ cores.
+// BenchmarkCompactPipeline compares the sequential oracle with the
+// pipelined CPU executor on the 2-run workload. The acceptance bar is
+// >= 1.3x pipelined throughput at 4+ cores.
 func BenchmarkCompactPipeline(b *testing.B) {
 	job := benchJob(b, 40000)
 	bytesIn := job.InputBytes()
-	run := func(b *testing.B, cpu CPU) {
+	run := func(b *testing.B, compact func(*Job, Env) (*Result, error)) {
 		b.SetBytes(bytesIn)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cpu.Compact(job, &nullEnv{}); err != nil {
+			if _, err := compact(job, &nullEnv{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, CPU{}) })
-	b.Run("pipelined", func(b *testing.B) {
-		run(b, CPU{Pipeline: PipelineConfig{Depth: 4}})
-	})
+	b.Run("sequential", func(b *testing.B) { run(b, compactSequential) })
+	b.Run("pipelined", func(b *testing.B) { run(b, CPU{}.Compact) })
 	for _, enc := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("pipelined-enc%d", enc), func(b *testing.B) {
-			run(b, CPU{Pipeline: PipelineConfig{Depth: 4, Encoders: enc}})
+			run(b, CPU{pipeline: pipelineConfig{encoders: enc}}.Compact)
 		})
 	}
 }
@@ -100,7 +98,7 @@ func TestPipelinedCompactAllocsBudget(t *testing.T) {
 		t.Skip("benchmark-backed budget; skipped in -short")
 	}
 	job := benchJob(t, 20000)
-	cpu := CPU{Pipeline: PipelineConfig{Depth: 4, Encoders: 2}}
+	cpu := CPU{pipeline: pipelineConfig{encoders: 2}}
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -112,12 +112,12 @@ func TestCompactPipelineByteIdentical(t *testing.T) {
 				job := pipelineJob(t, seed, tc.opts, tc.maxOut)
 
 				seqEnv := newMemEnv()
-				seqRes, err := CPU{}.Compact(job, seqEnv)
+				seqRes, err := compactSequential(job, seqEnv)
 				if err != nil {
 					t.Fatal(err)
 				}
 				pipeEnv := newMemEnv()
-				pipeRes, err := CPU{Pipeline: PipelineConfig{Depth: 4, Encoders: 3}}.Compact(job, pipeEnv)
+				pipeRes, err := CPU{pipeline: pipelineConfig{depth: 4, encoders: 3}}.Compact(job, pipeEnv)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,7 +185,7 @@ func TestCompactPipelineWriteFailure(t *testing.T) {
 	for _, failAfter := range []int{0, 1 << 10, 8 << 10} {
 		job := pipelineJob(t, 7, sstable.Options{BlockSize: 512, Compression: sstable.SnappyCompression}, 4<<10)
 		env := &failingEnv{failAfter: failAfter}
-		_, err := CPU{Pipeline: PipelineConfig{Depth: 2, Encoders: 2}}.Compact(job, env)
+		_, err := CPU{pipeline: pipelineConfig{depth: 2, encoders: 2}}.Compact(job, env)
 		if err == nil {
 			t.Fatalf("failAfter=%d: compaction succeeded despite failing writer", failAfter)
 		}
@@ -208,17 +208,17 @@ func TestCompactPipelineStress(t *testing.T) {
 	for seed := int64(10); seed < 14; seed++ {
 		job := pipelineJob(t, seed, opts, 2<<10)
 		seqEnv := newMemEnv()
-		seqRes, err := CPU{}.Compact(job, seqEnv)
+		seqRes, err := compactSequential(job, seqEnv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []PipelineConfig{
-			{Depth: 1, Encoders: 1},
-			{Depth: 2, Encoders: 4},
-			{Depth: 8, Encoders: 2},
+		for _, cfg := range []pipelineConfig{
+			{depth: 1, encoders: 1},
+			{depth: 2, encoders: 4},
+			{depth: 8, encoders: 2},
 		} {
 			env := newMemEnv()
-			res, err := CPU{Pipeline: cfg}.Compact(job, env)
+			res, err := CPU{pipeline: cfg}.Compact(job, env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,19 +234,5 @@ func TestCompactPipelineStress(t *testing.T) {
 				t.Fatalf("cfg %+v: pipeline counters not threaded (Blocks=0)", cfg)
 			}
 		}
-	}
-}
-
-// TestCompactPipelineDepthZeroIsSequential pins the config contract:
-// depth 0 must take the sequential code path (no pipeline counters).
-func TestCompactPipelineDepthZeroIsSequential(t *testing.T) {
-	job := pipelineJob(t, 3, sstable.Options{}, 16<<10)
-	env := newMemEnv()
-	res, err := CPU{Pipeline: PipelineConfig{Depth: 0, Encoders: 8}}.Compact(job, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Pipeline != (PipelineStats{}) {
-		t.Fatalf("depth 0 ran the pipeline: %+v", res.Stats.Pipeline)
 	}
 }

@@ -9,27 +9,26 @@ import (
 	"fcae/internal/sstable"
 )
 
-// PipelineConfig tunes the stage-parallel CPU data path, mirroring the
+// pipelineDepth is the bounded queue depth between stages: input blocks
+// prefetched ahead of the merge per run, and output blocks in flight
+// behind it.
+const pipelineDepth = 4
+
+// pipelineConfig tunes the stage-parallel CPU data path, mirroring the
 // paper's hardware pipeline: an input read-ahead stage per run, the merge
-// stage, and a pool of encoder workers behind a write sequencer.
-type PipelineConfig struct {
-	// Depth is the bounded queue depth between stages (input blocks
-	// prefetched ahead of the merge per run, and output blocks in flight
-	// behind it). 0 selects the legacy sequential path.
-	Depth int
-	// Encoders is the encode-stage worker count; <= 0 selects
-	// min(GOMAXPROCS, 4).
-	Encoders int
+// stage, and a pool of encoder workers behind a write sequencer. The zero
+// value is the production setting; tests vary it to stress the stages.
+type pipelineConfig struct {
+	depth    int // <= 0 selects pipelineDepth
+	encoders int // <= 0 selects min(GOMAXPROCS, 4)
 }
 
-// withDefaults resolves the encoder count; Depth is left alone (0 is
-// meaningful: it disables the pipeline).
-func (c PipelineConfig) withDefaults() PipelineConfig {
-	if c.Encoders <= 0 {
-		c.Encoders = runtime.GOMAXPROCS(0)
-		if c.Encoders > 4 {
-			c.Encoders = 4
-		}
+func (c pipelineConfig) withDefaults() pipelineConfig {
+	if c.depth <= 0 {
+		c.depth = pipelineDepth
+	}
+	if c.encoders <= 0 {
+		c.encoders = min(runtime.GOMAXPROCS(0), 4)
 	}
 	return c
 }
@@ -43,7 +42,8 @@ type pendingOutput struct {
 }
 
 // compactPipelined is the stage-parallel data path. The merge loop is the
-// sequential one; only where bytes enter and leave it changes:
+// sequential oracle's (see sequential_test.go); only where bytes enter and
+// leave it changes:
 //
 //   - each input run reads ahead through a prefetchRun (decode stage);
 //   - each completed output block is encoded and written by the shared
@@ -53,7 +53,7 @@ type pendingOutput struct {
 //     matches the sequential path's decision and outputs stay
 //     byte-identical.
 func (c CPU) compactPipelined(job *Job, env Env) (*Result, error) {
-	cfg := c.Pipeline.withDefaults()
+	cfg := c.pipeline.withDefaults()
 
 	runs := make([]*prefetchRun, 0, len(job.Runs))
 	defer func() {
@@ -63,7 +63,7 @@ func (c CPU) compactPipelined(job *Job, env Env) (*Result, error) {
 	}()
 	its := make([]iter.Iterator, 0, len(job.Runs))
 	for _, run := range job.Runs {
-		p, err := newPrefetchRun(run, job.TableOpts, cfg.Depth)
+		p, err := newPrefetchRun(run, job.TableOpts, cfg.depth)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ func (c CPU) compactPipelined(job *Job, env Env) (*Result, error) {
 			out.abort()
 		}
 	}()
-	pipe := sstable.NewEncodePipeline(job.TableOpts, cfg.Depth, cfg.Encoders)
+	pipe := sstable.NewEncodePipeline(job.TableOpts, cfg.depth, cfg.encoders)
 	defer pipe.Close()
 
 	merged := iter.NewMerging(its...)

@@ -123,15 +123,6 @@ type Tuning struct {
 	// DisablePriorityLanes collapses the two priorities into one FIFO
 	// queue (the pre-priority behavior), for ablation and benchmarks.
 	DisablePriorityLanes bool
-	// PipelineDepth enables the CPU lane's stage-parallel data path
-	// (read-ahead → merge → encode) with the given bounded queue depth;
-	// 0 keeps the sequential reference path. Ignored when Config.CPU is
-	// set explicitly.
-	PipelineDepth int
-	// PipelineEncoders is the CPU pipeline's encoder worker count; <= 0
-	// selects min(GOMAXPROCS, 4). Ignored when PipelineDepth is 0 or
-	// Config.CPU is set.
-	PipelineEncoders int
 }
 
 // Validate rejects nonsensical tuning values.
@@ -154,8 +145,6 @@ func (t Tuning) Validate() error {
 		return neg("CPUSlots", int64(t.CPUSlots))
 	case t.AgingWait < 0:
 		return neg("AgingWait", int64(t.AgingWait))
-	case t.PipelineDepth < 0:
-		return neg("PipelineDepth", int64(t.PipelineDepth))
 	}
 	return nil
 }
@@ -324,10 +313,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	cpu := cfg.CPU
 	if cpu == nil {
-		cpu = compaction.CPU{Pipeline: compaction.PipelineConfig{
-			Depth:    cfg.Tuning.PipelineDepth,
-			Encoders: cfg.Tuning.PipelineEncoders,
-		}}
+		cpu = compaction.CPU{}
 	}
 	s := &Scheduler{
 		devices:  cfg.Devices,

@@ -143,7 +143,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	bc := cache.New(opts.BlockCacheBytes)
 	reg := obs.NewRegistry()
-	dcfg := opts.dispatchConfig()
+	dcfg := opts.DispatchConfig
 	sched, err := dispatch.New(dispatch.Config{
 		Devices:  dcfg.Devices,
 		Injector: dcfg.FaultInjector,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -78,11 +79,13 @@ func TestCompactionConcurrency(t *testing.T) {
 		BaseLevelBytes:     32 << 10,
 		MaxOutputFileBytes: 16 << 10,
 		BlockCacheBytes:    1 << 20,
-		CompactionWorkers:  2,
-		DeviceExecutors:    newDeviceChannels(t, 2),
-		// Benign latency on every device merge widens the overlap window
-		// without introducing any fault (0% error rate).
-		FaultInjector: dispatch.NewProbInjector(1, 0).WithSlow(1.0, 20*time.Millisecond),
+		DispatchConfig: DispatchConfig{
+			Workers: 3,
+			Devices: newDeviceChannels(t, 2),
+			// Benign latency on every device merge widens the overlap
+			// window without introducing any fault (0% error rate).
+			FaultInjector: dispatch.NewProbInjector(1, 0).WithSlow(1.0, 20*time.Millisecond),
+		},
 		EventListener: ol,
 	}
 	db := openTest(t, opts)
@@ -125,13 +128,15 @@ func TestFaultInjectionIntegrity(t *testing.T) {
 			BaseLevelBytes:     32 << 10,
 			MaxOutputFileBytes: 16 << 10,
 			BlockCacheBytes:    1 << 20,
-			CompactionWorkers:  2,
-			DeviceExecutors:    newDeviceChannels(t, 2),
-			FaultInjector:      dispatch.NewProbInjector(7, 0.2),
-			Dispatch: dispatch.Tuning{
-				DeviceDeadline:   25 * time.Millisecond,
-				RetryBackoff:     time.Millisecond,
-				MaxDeviceRetries: -1, // every fault falls straight back to CPU
+			DispatchConfig: DispatchConfig{
+				Workers:       3,
+				Devices:       newDeviceChannels(t, 2),
+				FaultInjector: dispatch.NewProbInjector(7, 0.2),
+				Tuning: dispatch.Tuning{
+					DeviceDeadline:   25 * time.Millisecond,
+					RetryBackoff:     time.Millisecond,
+					MaxDeviceRetries: -1, // every fault falls straight back to CPU
+				},
 			},
 		}
 	}
@@ -233,13 +238,15 @@ func TestDispatchStress(t *testing.T) {
 		BaseLevelBytes:     32 << 10,
 		MaxOutputFileBytes: 16 << 10,
 		BlockCacheBytes:    1 << 20,
-		CompactionWorkers:  2,
-		DeviceExecutors:    newDeviceChannels(t, 2),
-		FaultInjector:      dispatch.NewProbInjector(3, 0.3),
-		Dispatch: dispatch.Tuning{
-			DeviceDeadline:   20 * time.Millisecond,
-			RetryBackoff:     time.Millisecond,
-			MaxDeviceRetries: 1,
+		DispatchConfig: DispatchConfig{
+			Workers:       3,
+			Devices:       newDeviceChannels(t, 2),
+			FaultInjector: dispatch.NewProbInjector(3, 0.3),
+			Tuning: dispatch.Tuning{
+				DeviceDeadline:   20 * time.Millisecond,
+				RetryBackoff:     time.Millisecond,
+				MaxDeviceRetries: 1,
+			},
 		},
 	}
 	db := openTest(t, opts)
@@ -304,73 +311,73 @@ func TestDispatchStress(t *testing.T) {
 	t.Logf("dispatch = %+v, stats fallbacks = %d", db.DispatchStats(), db.Stats().SWFallbacks)
 }
 
-// TestDispatchOptionValidation covers the new Options error paths.
+// TestDispatchOptionValidation covers the dispatch error paths as Open
+// sees them: Options.Validate wraps every DispatchConfig rejection.
 func TestDispatchOptionValidation(t *testing.T) {
-	devs := newDeviceChannels(t, 1)
-	cases := []Options{
-		{CompactionWorkers: -1},
-		{Executor: devs[0], DeviceExecutors: devs},
-		{FaultInjector: dispatch.NewProbInjector(1, 0.5)}, // no devices to fault
-		{Dispatch: dispatch.Tuning{QueueDepth: -1}},
+	cases := []struct {
+		name    string
+		cfg     DispatchConfig
+		wantErr string
+	}{
+		{"negative workers", DispatchConfig{Workers: -1}, "Workers is negative"},
+		{"nil device", DispatchConfig{Devices: []compaction.Executor{nil}}, "device channel 0 is nil"},
+		{"fault injector without devices", DispatchConfig{FaultInjector: dispatch.NewProbInjector(1, 0.5)}, "no device executors"},
+		{"bad tuning", DispatchConfig{Tuning: dispatch.Tuning{QueueDepth: -1}}, "QueueDepth is negative"},
 	}
-	for i, o := range cases {
-		if err := o.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, o)
-		}
-	}
-	ok := Options{DeviceExecutors: devs, CompactionWorkers: 2,
-		FaultInjector: dispatch.NewProbInjector(1, 0.1)}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid dispatch options rejected: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Options{DispatchConfig: tc.cfg}.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
+			}
+			if _, err := Open(t.TempDir(), Options{DispatchConfig: tc.cfg}); err == nil {
+				t.Fatal("Open accepted an invalid DispatchConfig")
+			}
+		})
 	}
 }
 
-// TestDispatchConfigValidation covers the consolidated DispatchConfig:
-// its own rejection paths plus the deprecated-alias contradictions.
+// TestDispatchConfigValidation covers DispatchConfig.Validate on its own:
+// a full valid configuration passes, and each field's rejection path
+// names the field.
 func TestDispatchConfigValidation(t *testing.T) {
-	devs := newDeviceChannels(t, 1)
-	inj := dispatch.NewProbInjector(1, 0.5)
-	bad := []Options{
-		{DispatchConfig: DispatchConfig{Workers: -1}},
-		{DispatchConfig: DispatchConfig{Devices: []compaction.Executor{nil}}},
-		{DispatchConfig: DispatchConfig{FaultInjector: inj}}, // no devices to fault
-		{DispatchConfig: DispatchConfig{Tuning: dispatch.Tuning{QueueDepth: -1}}},
-		// Setting a deprecated alias alongside its DispatchConfig field
-		// is a contradiction, not a merge.
-		{DispatchConfig: DispatchConfig{Devices: devs}, DeviceExecutors: devs},
-		{DispatchConfig: DispatchConfig{Devices: devs}, Executor: devs[0]},
-		{DispatchConfig: DispatchConfig{Workers: 2}, CompactionWorkers: 1},
-		{DispatchConfig: DispatchConfig{Devices: devs, FaultInjector: inj}, FaultInjector: inj},
-		{DispatchConfig: DispatchConfig{Tuning: dispatch.Tuning{QueueDepth: 4}},
-			Dispatch: dispatch.Tuning{QueueDepth: 2}},
-	}
-	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, o)
-		}
-	}
-	ok := Options{DispatchConfig: DispatchConfig{
-		Devices:       devs,
+	ok := DispatchConfig{
+		Devices:       newDeviceChannels(t, 2),
 		Workers:       3,
 		FaultInjector: dispatch.NewProbInjector(1, 0.1),
 		Tuning:        dispatch.Tuning{QueueDepth: 4},
-	}}
+	}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid DispatchConfig rejected: %v", err)
 	}
+	if err := (DispatchConfig{}).Validate(); err != nil {
+		t.Errorf("zero DispatchConfig rejected: %v", err)
+	}
+	bad := []DispatchConfig{
+		{Workers: -1},
+		{Devices: []compaction.Executor{ok.Devices[0], nil}},
+		{FaultInjector: ok.FaultInjector}, // no devices to fault
+		{Devices: ok.Devices, Tuning: dispatch.Tuning{MaxDeviceRetries: -2}},
+	}
+	for i, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Errorf("case %d: Validate accepted %+v", i, c)
+		}
+	}
 }
 
-// TestLegacyWorkerAliasMapping proves CompactionWorkers=N maps onto a
-// shared pool of N+1 workers (the flush goroutine it used to imply).
-func TestLegacyWorkerAliasMapping(t *testing.T) {
-	if got := (Options{CompactionWorkers: 2}).dispatchConfig().Workers; got != 3 {
-		t.Fatalf("CompactionWorkers=2 -> pool of %d, want 3", got)
-	}
-	if got := (Options{}).dispatchConfig().Workers; got != 2 {
+// TestDispatchWorkersDefault pins the pool size: DispatchConfig.Workers
+// is the whole shared pool, flushes included, and defaults to 2.
+func TestDispatchWorkersDefault(t *testing.T) {
+	if got := (Options{}).withDefaults().DispatchConfig.Workers; got != 2 {
 		t.Fatalf("default pool = %d, want 2", got)
 	}
-	if got := (Options{DispatchConfig: DispatchConfig{Workers: 5}}).dispatchConfig().Workers; got != 5 {
+	if got := (Options{DispatchConfig: DispatchConfig{Workers: 5}}).withDefaults().DispatchConfig.Workers; got != 5 {
 		t.Fatalf("DispatchConfig.Workers=5 -> pool of %d, want 5", got)
+	}
+	db := openTest(t, Options{DispatchConfig: DispatchConfig{Workers: 3}})
+	if db.poolSize != 3 {
+		t.Fatalf("opened pool = %d, want 3", db.poolSize)
 	}
 }
 

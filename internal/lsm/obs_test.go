@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"fcae/internal/compaction"
 	"fcae/internal/core"
 	"fcae/internal/obs"
 )
@@ -61,6 +62,21 @@ func fillForCompactions(t *testing.T, db *DB) {
 	}
 	if err := db.WaitIdle(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultCPULaneIsPipelined proves the zero Options run CPU-lane
+// merges on the pipelined data path: a non-trivial compaction must feed
+// the pipeline's block counter.
+func TestDefaultCPULaneIsPipelined(t *testing.T) {
+	db := openTest(t, Options{})
+	fillForCompactions(t, db)
+	if st := db.Stats(); st.Compactions-st.TrivialMoves == 0 {
+		t.Fatalf("no merge compaction ran: %+v", st)
+	}
+	m := db.Metrics()
+	if got := m.Counters["compaction_pipeline_blocks"]; got <= 0 {
+		t.Fatalf("compaction_pipeline_blocks = %d, want > 0: CPU lane did not run the pipelined path", got)
 	}
 }
 
@@ -280,7 +296,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	opts := smallOpts()
-	opts.Executor = exec
+	opts.DispatchConfig.Devices = []compaction.Executor{exec}
 	opts.EventListener = tw
 	db := openTest(t, opts)
 

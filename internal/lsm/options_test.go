@@ -40,9 +40,6 @@ func TestOptionsValidate(t *testing.T) {
 			wantErr: "LevelRatio is negative"},
 		{name: "negative tiered runs", opts: Options{TieredRuns: -1},
 			wantErr: "TieredRuns is negative"},
-		{name: "compression contradiction",
-			opts:    Options{DisableCompression: true, Compression: sstable.SnappyCompression},
-			wantErr: "DisableCompression set but Compression requests snappy"},
 		{name: "filter contradiction",
 			opts:    Options{DisableFilter: true, FilterBitsPerKey: 10},
 			wantErr: "DisableFilter set but FilterBitsPerKey"},
@@ -72,6 +69,17 @@ func TestOptionsValidate(t *testing.T) {
 				t.Fatalf("Validate() = %q, want substring %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestTableCompression pins the one compression switch: snappy unless
+// DisableCompression is set.
+func TestTableCompression(t *testing.T) {
+	if got := (Options{}).withDefaults().tableOpts().Compression; got != sstable.SnappyCompression {
+		t.Fatalf("default compression = %v, want snappy", got)
+	}
+	if got := (Options{DisableCompression: true}).withDefaults().tableOpts().Compression; got != sstable.NoCompression {
+		t.Fatalf("DisableCompression: compression = %v, want none", got)
 	}
 }
 

@@ -7,20 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"fcae/internal/core"
 )
 
 // TestConcurrentReadersWritersCompactions hammers the store with parallel
 // writers, point readers and iterators while compactions run on the FCAE
 // backend, under whatever detector the test runs with (-race in CI).
 func TestConcurrentReadersWritersCompactions(t *testing.T) {
-	exec, err := core.NewExecutor(core.MultiInputConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := smallOpts()
-	opts.Executor = exec
+	opts.DispatchConfig.Devices = newDeviceChannels(t, 1)
 	db := openTest(t, opts)
 
 	const (
