@@ -252,11 +252,13 @@ func (m memReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// engineMergeInputs builds two sorted 4000-key runs as device input images.
+// engineMergeInputs stages two sorted 4000-key runs as device input
+// images in an arena of their own, so a merge's output arena can be
+// rewound between runs without touching the inputs.
 func engineMergeInputs(tb testing.TB, cfg core.Config) []*core.InputImage {
 	tb.Helper()
 	opts := sstable.Options{Compression: sstable.SnappyCompression}
-	images := make([]*core.InputImage, 2)
+	job := &compaction.Job{TableOpts: opts}
 	for r := 0; r < 2; r++ {
 		var buf bytes.Buffer
 		w := sstable.NewWriter(&buf, opts)
@@ -270,24 +272,21 @@ func engineMergeInputs(tb testing.TB, cfg core.Config) []*core.InputImage {
 			tb.Fatal(err)
 		}
 		data := buf.Bytes()
-		img, err := core.BuildInputImage([]compaction.Table{{
+		job.Runs = append(job.Runs, []compaction.Table{{
 			Num:  uint64(r + 1),
 			Size: int64(len(data)),
 			Data: memReaderAt(data),
-		}}, cfg.WIn, opts)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		images[r] = img
+		}})
+	}
+	images, err := core.StageJob(core.NewArena(core.ArenaBytesFor(job.InputBytes())), job, cfg.WIn)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return images
 }
 
-func runEngineMerge(tb testing.TB, eng *core.Engine, images []*core.InputImage) {
-	runEngineMergeArena(tb, eng, images, nil)
-}
-
-func runEngineMergeArena(tb testing.TB, eng *core.Engine, images []*core.InputImage, arena *core.Arena) {
+// runEngineMerge merges images once, retaining the output in arena.
+func runEngineMerge(tb testing.TB, eng *core.Engine, images []*core.InputImage, arena *core.Arena) {
 	tb.Helper()
 	arena.Reset()
 	res, err := eng.Run(images, core.Params{
@@ -306,8 +305,8 @@ func runEngineMergeArena(tb testing.TB, eng *core.Engine, images []*core.InputIm
 
 // BenchmarkEngineMerge measures the functional merge kernel itself —
 // allocs/op is the headline number (see TestEngineMergeAllocsBudget).
-// The arena variant retains merge output in a per-channel staging arena,
-// the executor's default.
+// Merge output is retained in a per-channel-sized staging arena, as on
+// the executor.
 func BenchmarkEngineMerge(b *testing.B) {
 	cfg := core.DefaultConfig()
 	eng, err := core.NewEngine(cfg)
@@ -315,28 +314,21 @@ func BenchmarkEngineMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 	images := engineMergeInputs(b, cfg)
-	b.Run("heap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runEngineMerge(b, eng, images)
-		}
-	})
-	b.Run("arena", func(b *testing.B) {
-		arena := core.NewArena(cfg.ArenaBytes())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runEngineMergeArena(b, eng, images, arena)
-		}
-	})
+	arena := core.NewArena(cfg.ArenaBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runEngineMerge(b, eng, images, arena)
+	}
 }
 
-// TestEngineMergeAllocsBudget pins the merge path's allocs/op, with and
-// without an output arena. The seed tree measured 2261 allocs/op on this
-// workload; the scratch-reuse work (persistent block iterators, pooled
-// FIFO history, single-copy block flush) brought it down, and this budget
-// keeps it from creeping back. The arena path must fit the same budget:
-// arena-backed retention replaces heap copies one for one.
+// TestEngineMergeAllocsBudget pins the merge path's allocs/op. The seed
+// tree measured 2261 allocs/op on this workload with heap-retained
+// output; scratch reuse (persistent block iterators, pooled FIFO
+// history, single-copy block flush) and arena-retained output brought it
+// to about 61. The budget sits just above that with headroom for runtime
+// variance — tight enough that reintroducing a per-block allocation
+// (this workload flushes ~60 blocks per op) trips it.
 func TestEngineMergeAllocsBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed budget; skipped in -short")
@@ -347,29 +339,18 @@ func TestEngineMergeAllocsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	images := engineMergeInputs(t, cfg)
-	// The seed tree measured 2261 allocs/op; scratch reuse brought it to
-	// 890. The budget sits just above that with headroom for runtime
-	// variance — tight enough that reintroducing even one per-block
-	// allocation (this workload flushes ~60 blocks per op) trips it.
-	const budget = 950
-	for _, tc := range []struct {
-		name  string
-		arena *core.Arena
-	}{
-		{"heap", nil},
-		{"arena", core.NewArena(cfg.ArenaBytes())},
-	} {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runEngineMergeArena(b, eng, images, tc.arena)
-			}
-		})
-		if got := res.AllocsPerOp(); got > budget {
-			t.Fatalf("%s merge path allocates %d allocs/op, budget is %d", tc.name, got, budget)
-		} else {
-			t.Logf("%s merge path: %d allocs/op (budget %d)", tc.name, got, budget)
+	arena := core.NewArena(cfg.ArenaBytes())
+	const budget = 100
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runEngineMerge(b, eng, images, arena)
 		}
+	})
+	if got := res.AllocsPerOp(); got > budget {
+		t.Fatalf("merge path allocates %d allocs/op, budget is %d", got, budget)
+	} else {
+		t.Logf("merge path: %d allocs/op (budget %d)", got, budget)
 	}
 }
 

@@ -8,18 +8,19 @@
 //	dbbench [-db DIR] [-benchmarks fillseq,fillrandom,overwrite,readrandom,readseq,deleterandom]
 //	        [-num 100000] [-value_size 128] [-key_size 16] [-compression_ratio 0.5]
 //	        [-backend cpu|fcae] [-workers 2] [-device-channels 1]
-//	        [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true] [-arena-bytes 0]
+//	        [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true]
 //	        [-trace out.jsonl] [-metrics] [-json out.json]
 //
-// The store flags (-backend through -arena-bytes) are shared with
+// The store flags (-backend through -priority-lanes) are shared with
 // cmd/ycsb and cmd/fcaeserver; see internal/storeflags. -backend fcae
 // builds -device-channels independent engine instances behind the
 // offload scheduler; -workers sizes the shared flush/compaction pool;
 // -fault-rate injects device faults (errors, mid-merge write failures,
 // stalls) at the given probability, exercising the CPU-fallback path.
 // -priority-lanes=false collapses the scheduler's two-priority queue
-// back to a single FIFO; -arena-bytes sizes each channel's persistent
-// device-memory staging arena (0 = modeled default, negative disables).
+// back to a single FIFO. Each channel stages jobs in a device-memory
+// arena of the modeled default size; a job that does not fit runs on the
+// CPU lane.
 // -trace writes one JSON line per compaction (inputs, outputs, pairs,
 // modeled kernel/PCIe time, phase spans); -metrics dumps the final
 // metrics snapshot as JSON on stdout; -json writes a machine-readable
@@ -123,7 +124,7 @@ func main() {
 		st.Flushes, st.Compactions, st.HWCompactions, st.SWFallbacks, st.TrivialMoves)
 	fmt.Printf("compaction bytes: read=%d written=%d; modeled kernel=%s pcie=%s; stalls=%s\n",
 		st.CompactionRead, st.CompactionWrite, st.KernelTime, st.TransferTime, st.StallTime)
-	fmt.Printf("dispatch: device=%d cpu=%d lanes=%v faults=%d timeouts=%d retries=%d fallbacks(fanin=%d budget=%d arena=%d saturated=%d fault=%d) promotions=%d arena-bytes=%d\n",
+	fmt.Printf("dispatch: device=%d cpu=%d lanes=%v faults=%d timeouts=%d retries=%d fallbacks(fanin=%d budget=%d arena=%d saturated=%d fault=%d) promotions=%d arena-capacity=%d\n",
 		ds.DeviceJobs, ds.CPUJobs, ds.LaneJobs, ds.Faults, ds.Timeouts, ds.Retries,
 		ds.FallbackFanIn, ds.FallbackBudget, ds.FallbackArena, ds.FallbackSaturated, ds.FallbackFault,
 		ds.AgingPromotions, ds.ArenaBytes)
@@ -153,7 +154,6 @@ func main() {
 				"fault_rate":        store.FaultRate,
 				"fault_seed":        store.FaultSeed,
 				"priority_lanes":    store.PriorityLanes,
-				"arena_bytes":       store.ArenaBytes,
 				"benchmarks":        *benches,
 			},
 			Benchmarks: results,

@@ -7,11 +7,11 @@
 //
 //	fcaeserver -db DIR [-addr 127.0.0.1:4490] [-admin 127.0.0.1:4491]
 //	           [-backend cpu|fcae] [-workers 2] [-device-channels 1]
-//	           [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true] [-arena-bytes 0]
+//	           [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true]
 //	           [-max-inflight 256] [-write-queue 1024] [-commit-window 0]
 //	           [-group-ops 512] [-group-bytes 1048576] [-max-scan 1024]
 //
-// The store flags (-backend through -arena-bytes) are shared with
+// The store flags (-backend through -priority-lanes) are shared with
 // cmd/dbbench and cmd/ycsb (see internal/storeflags), so a served store
 // and a library benchmark run the same offload configuration.
 package main

@@ -104,7 +104,8 @@ func main() {
 	}
 	fmt.Printf("job: %d runs, %.1f MiB input, value=%dB\n", job.NumRuns(), float64(job.InputBytes())/(1<<20), *valueSize)
 
-	// Engine path.
+	// Engine path, on a staging arena sized for this job.
+	cfg.StagingBytes = core.ArenaBytesFor(job.InputBytes())
 	exec, err := core.NewExecutor(cfg)
 	if err != nil {
 		fatal(err)
@@ -143,15 +144,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var images []*core.InputImage
-	for _, run := range job.Runs {
-		img, err := core.BuildInputImage(run, cfg.WIn, job.TableOpts)
-		if err != nil {
-			fatal(err)
-		}
-		images = append(images, img)
+	arena := core.NewArena(cfg.StagingBytes)
+	images, err := core.StageJob(arena, job, cfg.WIn)
+	if err != nil {
+		fatal(err)
 	}
-	params := core.Params{Compress: true, SmallestSnapshot: keys.MaxSeq, BottomLevel: true}
+	params := core.Params{Compress: true, SmallestSnapshot: keys.MaxSeq, BottomLevel: true, Arena: arena}
 	if *tracePath != "" {
 		tf, err := os.Create(*tracePath)
 		if err != nil {

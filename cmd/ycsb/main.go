@@ -7,10 +7,10 @@
 //	ycsb [-db DIR] [-workloads load,a,b,c,d,e,f] [-records 100000]
 //	     [-ops 100000] [-value_size 1024] [-seed 7] [-metrics]
 //	     [-backend cpu|fcae] [-workers 2] [-device-channels 1]
-//	     [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true] [-arena-bytes 0]
+//	     [-fault-rate 0.0] [-fault-seed 1] [-priority-lanes=true]
 //	     [-addr host:port] [-admin host:port] [-client-conns 2] [-pipeline 128]
 //
-// The store flags (-backend through -arena-bytes) are shared with
+// The store flags (-backend through -priority-lanes) are shared with
 // cmd/dbbench and cmd/fcaeserver; see internal/storeflags. -metrics dumps
 // the final metrics snapshot as JSON on stdout, machine-readable for
 // BENCH_*.json tooling.

@@ -99,23 +99,27 @@ func engineSpeed(cfg core.Config, job *compaction.Job) float64 {
 	if err != nil {
 		panic(err)
 	}
-	var images []*core.InputImage
-	for _, run := range job.Runs {
-		img, err := core.BuildInputImage(run, cfg.WIn, job.TableOpts)
-		if err != nil {
-			panic(err)
-		}
-		images = append(images, img)
+	res := runEngine(eng, job)
+	return float64(job.InputBytes()) / res.Stats.KernelTime(cfg.ClockHz).Seconds() / 1e6
+}
+
+// runEngine stages job in an arena sized for it and merges it on eng.
+func runEngine(eng *core.Engine, job *compaction.Job) *core.Result {
+	arena := core.NewArena(core.ArenaBytesFor(job.InputBytes()))
+	images, err := core.StageJob(arena, job, eng.Config().WIn)
+	if err != nil {
+		panic(err)
 	}
 	res, err := eng.Run(images, core.Params{
 		Compress:         true,
 		SmallestSnapshot: job.SmallestSnapshot,
 		BottomLevel:      job.BottomLevel,
+		Arena:            arena,
 	})
 	if err != nil {
 		panic(err)
 	}
-	return float64(job.InputBytes()) / res.Stats.KernelTime(cfg.ClockHz).Seconds() / 1e6
+	return res
 }
 
 // cpuSpeed returns the modeled CPU baseline compaction speed (Table V's
@@ -261,18 +265,7 @@ func StageUtilization(scale Scale, cfg core.Config) *Report {
 		if err != nil {
 			panic(err)
 		}
-		var images []*core.InputImage
-		for _, run := range job.Runs {
-			img, err := core.BuildInputImage(run, cfg.WIn, job.TableOpts)
-			if err != nil {
-				panic(err)
-			}
-			images = append(images, img)
-		}
-		res, err := eng.Run(images, core.Params{Compress: true, SmallestSnapshot: job.SmallestSnapshot, BottomLevel: true})
-		if err != nil {
-			panic(err)
-		}
+		res := runEngine(eng, job)
 		pct := func(busy float64) string {
 			return f1(busy / res.Stats.Cycles * 100)
 		}

@@ -3,18 +3,21 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"fcae/internal/compaction"
+	"fcae/internal/keys"
 	"fcae/internal/sstable"
 )
 
 func TestArenaSizing(t *testing.T) {
-	if a := NewArena(0); a != nil {
-		t.Fatal("NewArena(0) must disable the arena")
+	empty := NewArena(0)
+	if empty.Cap() != 0 || empty.InputBudget() != 0 {
+		t.Fatalf("NewArena(0): Cap %d, InputBudget %d, want an empty arena", empty.Cap(), empty.InputBudget())
 	}
-	if a := NewArena(-4096); a != nil {
-		t.Fatal("NewArena(<0) must disable the arena")
+	if _, ok := empty.takeOut(1); ok {
+		t.Fatal("NewArena(0) handed out output memory")
 	}
 	a := NewArena(8192)
 	if got := a.Cap(); got != 8192 {
@@ -27,17 +30,13 @@ func TestArenaSizing(t *testing.T) {
 	if got := a.InUse(); got != 0 {
 		t.Fatalf("fresh arena InUse = %d, want 0", got)
 	}
-}
-
-func TestNilArenaSafe(t *testing.T) {
-	var a *Arena
-	a.Reset() // must not panic
-	if a.Cap() != 0 || a.InUse() != 0 || a.InputBudget() != 0 || a.HighWater() != 0 {
-		t.Fatalf("nil arena reported non-zero sizes: cap=%d use=%d budget=%d hw=%d",
-			a.Cap(), a.InUse(), a.InputBudget(), a.HighWater())
-	}
-	if _, ok := a.takeOut(1); ok {
-		t.Fatal("nil arena handed out memory")
+	// The one-job sizing rule leaves room for the input and an output as
+	// large as the input.
+	const in = 1 << 20
+	sized := NewArena(ArenaBytesFor(in))
+	if sized.InputBudget() < in || int64(len(sized.out)) < in {
+		t.Fatalf("ArenaBytesFor(%d): InputBudget %d, output region %d; both must cover the input",
+			in, sized.InputBudget(), len(sized.out))
 	}
 }
 
@@ -83,8 +82,8 @@ func TestConfigArenaBytes(t *testing.T) {
 		t.Fatalf("explicit StagingBytes: ArenaBytes = %d, want 12345", got)
 	}
 	cfg.StagingBytes = -1
-	if got := cfg.ArenaBytes(); got != 0 {
-		t.Fatalf("negative StagingBytes: ArenaBytes = %d, want 0 (disabled)", got)
+	if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
+		t.Fatalf("negative StagingBytes: Validate = %v, want ErrConfig", err)
 	}
 	cfg.StagingBytes = 0
 	want := int64(cfg.N) * DefaultArenaPerLane
@@ -100,10 +99,10 @@ func TestArenaTakeOutAndReset(t *testing.T) {
 	a := NewArena(8192)
 	outRegion := int(a.Cap()) - len(a.index) - len(a.data)
 	dst, ok := a.takeOut(16)
-	if !ok || len(dst) != 0 || cap(dst) != 16 {
-		t.Fatalf("takeOut(16) = len %d cap %d ok %v, want empty slice with cap 16", len(dst), cap(dst), ok)
+	if !ok || len(dst) != 16 || cap(dst) != 16 {
+		t.Fatalf("takeOut(16) = len %d cap %d ok %v, want a 16-byte slice", len(dst), cap(dst), ok)
 	}
-	dst = append(dst, bytes.Repeat([]byte{0xAB}, 16)...)
+	copy(dst, bytes.Repeat([]byte{0xAB}, 16))
 	if got := a.InUse(); got != 16 {
 		t.Fatalf("InUse = %d after takeOut(16), want 16", got)
 	}
@@ -112,7 +111,7 @@ func TestArenaTakeOutAndReset(t *testing.T) {
 	if !ok {
 		t.Fatal("second takeOut failed")
 	}
-	dst2 = append(dst2, bytes.Repeat([]byte{0xCD}, 16)...)
+	copy(dst2, bytes.Repeat([]byte{0xCD}, 16))
 	if dst[0] != 0xAB || dst2[0] != 0xCD {
 		t.Fatal("takeOut reservations alias each other")
 	}
@@ -130,7 +129,7 @@ func TestArenaTakeOutAndReset(t *testing.T) {
 
 func TestArenaBuilderExhaustion(t *testing.T) {
 	a := NewArena(1024) // 512B data region
-	b := NewInputBuilderArena(64, a)
+	b := NewInputBuilder(64, a)
 	b.BeginTable()
 	if err := b.AddBlock([]byte("k1"), 0, make([]byte, 1024)); err == nil {
 		t.Fatal("AddBlock accepted a block larger than the data region")
@@ -139,89 +138,160 @@ func TestArenaBuilderExhaustion(t *testing.T) {
 	}
 }
 
-// TestArenaImageMatchesHeap proves arena staging is invisible in the image
-// bytes: the same run serialized with and without an arena is identical.
-func TestArenaImageMatchesHeap(t *testing.T) {
+// TestStagedImageMatchesSource proves staging is lossless: decoding each
+// staged image through DecodeIndex and BlockSlice yields exactly its
+// source tables' raw block stream (index key, compression type, payload),
+// table by table, and the arena accounts for every staged byte.
+func TestStagedImageMatchesSource(t *testing.T) {
 	opts := sstable.Options{Compression: sstable.SnappyCompression}
-	run := []compaction.Table{buildTable(t, opts, genRun("key-", 500, 64, 100))}
-
-	heap, err := BuildInputImage(run, 64, opts)
+	job := defaultJob(
+		[]compaction.Table{
+			buildTable(t, opts, genRun("a-", 300, 64, 100)),
+			buildTable(t, opts, genRun("b-", 200, 200, 1000)),
+		},
+		[]compaction.Table{buildTable(t, opts, genRun("c-", 500, 32, 5000))},
+	)
+	job.TableOpts = opts
+	a := NewArena(ArenaBytesFor(job.InputBytes()))
+	images, err := StageJob(a, job, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewArena(1 << 20)
-	staged, err := BuildInputImageArena(run, 64, opts, a)
-	if err != nil {
-		t.Fatal(err)
+	if len(images) != len(job.Runs) {
+		t.Fatalf("staged %d images for %d runs", len(images), len(job.Runs))
 	}
-	if !bytes.Equal(heap.IndexMem, staged.IndexMem) {
-		t.Fatal("arena-staged index memory differs from heap-built")
-	}
-	if !bytes.Equal(heap.DataMem, staged.DataMem) {
-		t.Fatal("arena-staged data memory differs from heap-built")
-	}
-	if a.InUse() != int64(len(staged.IndexMem)+len(staged.DataMem)) {
-		t.Fatalf("arena InUse = %d, want staged %d", a.InUse(), len(staged.IndexMem)+len(staged.DataMem))
-	}
-}
-
-// TestExecutorArenaEquivalence proves an arena-backed executor produces
-// byte-identical outputs to one with the arena disabled, across repeated
-// jobs on the same channel (exercising Reset-and-reuse).
-func TestExecutorArenaEquivalence(t *testing.T) {
-	mkJob := func(seqBase uint64) *compaction.Job {
-		opts := sstable.Options{Compression: sstable.SnappyCompression, FilterBitsPerKey: 10}
-		runA := genRun("key-a", 400, 64, seqBase)
-		runB := genRun("key-b", 300, 64, seqBase+1000)
-		return defaultJob(
-			[]compaction.Table{buildTable(t, opts, runA)},
-			[]compaction.Table{buildTable(t, opts, runB)},
-		)
-	}
-
-	withArena, err := NewExecutor(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withArena.ArenaBytes() == 0 {
-		t.Fatal("default config must enable the arena")
-	}
-	noCfg := DefaultConfig()
-	noCfg.StagingBytes = -1
-	without, err := NewExecutor(noCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.ArenaBytes() != 0 || without.ArenaInputBudget() != 0 {
-		t.Fatal("StagingBytes < 0 must disable the arena")
-	}
-
-	for round := 0; round < 3; round++ {
-		job := mkJob(uint64(100 * (round + 1)))
-		envA, envB := newMemEnv(), newMemEnv()
-		resA, err := withArena.Compact(job, envA)
-		if err != nil {
-			t.Fatalf("round %d arena compact: %v", round, err)
+	var staged int64
+	for i, run := range job.Runs {
+		img := images[i]
+		staged += int64(len(img.IndexMem) + len(img.DataMem))
+		if len(img.Tables) != len(run) {
+			t.Fatalf("image %d holds %d tables, run has %d", i, len(img.Tables), len(run))
 		}
-		resB, err := without.Compact(job, envB)
-		if err != nil {
-			t.Fatalf("round %d heap compact: %v", round, err)
-		}
-		a, b := scanOutputs(t, envA, resA), scanOutputs(t, envB, resB)
-		if len(a) != len(b) {
-			t.Fatalf("round %d: arena %d entries, heap %d", round, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("round %d entry %d differs: arena=%+v heap=%+v", round, i, a[i], b[i])
+		for ti, tbl := range run {
+			r, err := sstable.NewReader(tbl.Data, tbl.Size, opts, nil, tbl.Num)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []sstable.RawBlock
+			err = r.VisitRawBlocks(func(rb sstable.RawBlock) error {
+				want = append(want, sstable.RawBlock{
+					IndexKey: bytes.Clone(rb.IndexKey),
+					CType:    rb.CType,
+					Payload:  bytes.Clone(rb.Payload),
+				})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := img.DecodeIndex(ti)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(want) || len(want) == 0 {
+				t.Fatalf("image %d table %d: %d index entries, source has %d blocks", i, ti, len(entries), len(want))
+			}
+			for bi, e := range entries {
+				raw, err := img.BlockSlice(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := want[bi]
+				if !bytes.Equal(e.LastKey, w.IndexKey) || raw[0] != w.CType || !bytes.Equal(raw[1:], w.Payload) {
+					t.Fatalf("image %d table %d block %d differs from the source block", i, ti, bi)
+				}
 			}
 		}
 	}
-	if hw, cap := withArena.ArenaHighWater(), withArena.ArenaBytes(); hw <= 0 || hw > cap {
-		t.Fatalf("ArenaHighWater = %d after arena-backed jobs, want in (0, %d]", hw, cap)
+	if a.InUse() != staged {
+		t.Fatalf("arena InUse = %d, want staged %d", a.InUse(), staged)
 	}
-	if got := without.ArenaHighWater(); got != 0 {
-		t.Fatalf("disabled arena ArenaHighWater = %d, want 0", got)
+}
+
+// TestExecutorMatchesCPUAcrossJobs runs three jobs on one executor, so
+// every job after the first reuses the rewound arena, and checks each
+// job's outputs against the CPU compaction of the same job.
+func TestExecutorMatchesCPUAcrossJobs(t *testing.T) {
+	x, err := NewExecutor(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		seqBase := uint64(100 * (round + 1))
+		opts := defaultJob().TableOpts
+		job := defaultJob(
+			[]compaction.Table{buildTable(t, opts, genRun("key-a", 400, 64, seqBase))},
+			[]compaction.Table{buildTable(t, opts, genRun("key-b", 300, 64, seqBase+1000))},
+		)
+		fEnv, cEnv := newMemEnv(), newMemEnv()
+		fRes, err := x.Compact(job, fEnv)
+		if err != nil {
+			t.Fatalf("round %d engine compact: %v", round, err)
+		}
+		cRes, err := compaction.CPU{}.Compact(job, cEnv)
+		if err != nil {
+			t.Fatalf("round %d cpu compact: %v", round, err)
+		}
+		f, c := scanOutputs(t, fEnv, fRes), scanOutputs(t, cEnv, cRes)
+		if len(f) != len(c) || len(f) == 0 {
+			t.Fatalf("round %d: engine %d entries, cpu %d", round, len(f), len(c))
+		}
+		for i := range f {
+			if f[i] != c[i] {
+				t.Fatalf("round %d entry %d differs: engine=%+v cpu=%+v", round, i, f[i], c[i])
+			}
+		}
+	}
+	if hw, cap := x.ArenaHighWater(), x.ArenaBytes(); hw <= 0 || hw > cap {
+		t.Fatalf("ArenaHighWater = %d after three jobs, want in (0, %d]", hw, cap)
+	}
+}
+
+// TestEngineOutputArenaExhausted proves a full retained-output region
+// fails the run with the sentinel the dispatcher routes to software,
+// rather than spilling the output to the heap.
+func TestEngineOutputArenaExhausted(t *testing.T) {
+	opts := sstable.Options{Compression: sstable.SnappyCompression}
+	job := defaultJob([]compaction.Table{buildTable(t, opts, genRun("key-", 500, 64, 100))})
+	job.TableOpts = opts
+	images, _ := stageJob(t, job, 64)
+	eng, _ := NewEngine(DefaultConfig())
+	_, err := eng.Run(images, Params{Compress: true, SmallestSnapshot: keys.MaxSeq, Arena: NewArena(256)})
+	if !errors.Is(err, compaction.ErrArenaExhausted) {
+		t.Fatalf("Run with a 96-byte output region = %v, want ErrArenaExhausted", err)
+	}
+}
+
+// TestExecutorOutputArenaExhausted sizes a channel so the job's inputs
+// stage but its output does not fit: Compact must fail with
+// ErrArenaExhausted before creating any output file, which is what lets
+// the dispatcher rerun the job on the CPU lane.
+func TestExecutorOutputArenaExhausted(t *testing.T) {
+	opts := defaultJob().TableOpts
+	job := defaultJob(
+		[]compaction.Table{buildTable(t, opts, genRun("key-a", 400, 64, 100))},
+		[]compaction.Table{buildTable(t, opts, genRun("key-b", 300, 64, 1000))},
+	)
+	images, _ := stageJob(t, job, DefaultConfig().WIn)
+	var data int64
+	for _, img := range images {
+		data += int64(len(img.DataMem))
+	}
+	cfg := DefaultConfig()
+	// The data region (half the arena) holds the inputs with room to
+	// spare; the output region (3/8) is then smaller than the output.
+	cfg.StagingBytes = 2 * (data + 4096)
+	x, err := NewExecutor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newMemEnv()
+	_, err = x.Compact(job, env)
+	if !errors.Is(err, compaction.ErrArenaExhausted) || !strings.Contains(err.Error(), "retained-output") {
+		t.Fatalf("Compact = %v, want ErrArenaExhausted from the retained-output region", err)
+	}
+	if len(env.files) != 0 {
+		t.Fatalf("Compact created %d output files before failing", len(env.files))
 	}
 }
 

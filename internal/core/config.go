@@ -64,9 +64,10 @@ type Config struct {
 	// far a decoder can run ahead of the Comparer.
 	FIFODepth int
 	// StagingBytes sizes the channel's persistent device-memory arena
-	// that input/output images are staged in. Zero selects the modeled
-	// default (ArenaBytes); a negative value disables the arena entirely
-	// (every job heap-allocates, the pre-arena behavior).
+	// that input and output images are staged in. Zero selects the
+	// modeled default (ArenaBytes); a positive value is an explicit size.
+	// A job that does not fit falls back to software; negative values are
+	// rejected by Validate.
 	StagingBytes int64
 }
 
@@ -114,6 +115,9 @@ func (c Config) Validate() error {
 	if c.ClockHz <= 0 {
 		return fmt.Errorf("%w: ClockHz=%v", ErrConfig, c.ClockHz)
 	}
+	if c.StagingBytes < 0 {
+		return fmt.Errorf("%w: StagingBytes=%d (0 selects the modeled default)", ErrConfig, c.StagingBytes)
+	}
 	return nil
 }
 
@@ -125,12 +129,9 @@ func (c Config) Fits() bool {
 }
 
 // ArenaBytes resolves the channel's staging-arena size: StagingBytes when
-// set (negative disables, returning 0), otherwise N lanes' worth of
-// DefaultArenaPerLane capped at MaxArenaBytes.
+// set, otherwise N lanes' worth of DefaultArenaPerLane capped at
+// MaxArenaBytes.
 func (c Config) ArenaBytes() int64 {
-	if c.StagingBytes < 0 {
-		return 0
-	}
 	if c.StagingBytes > 0 {
 		return c.StagingBytes
 	}

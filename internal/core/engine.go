@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"fcae/internal/compaction"
 	"fcae/internal/keys"
 	"fcae/internal/snappy"
 	"fcae/internal/sstable"
@@ -32,10 +33,12 @@ type Params struct {
 	// CollectFilterKeys returns user keys in MetaOut so the host can
 	// attach bloom filters while combining the output.
 	CollectFilterKeys bool
-	// Arena, when non-nil, backs the run's retained output (table bounds,
-	// block last-keys, compressed payloads, filter keys) with the
-	// channel's staging arena instead of per-item heap allocations. The
-	// caller owns the arena's lifetime; output slices die at its Reset.
+	// Arena is required: its retained-output region backs the run's
+	// output (table bounds, block last-keys, payloads, filter keys), so
+	// the merge loop does no per-item heap allocation. When the region
+	// fills, Run fails with an error wrapping
+	// compaction.ErrArenaExhausted. The caller owns the arena's lifetime;
+	// output slices die at its next Reset.
 	Arena *Arena
 
 	// TraceWriter, when set, receives a CSV stream of per-selection
@@ -442,25 +445,31 @@ type outputBuilder struct {
 	curous       int64 // current table's accumulated block bytes
 	last         []byte
 	blockEntries int
-	wantClose    bool // table is full; close at the next user-key boundary
+	wantClose    bool  // table is full; close at the next user-key boundary
+	err          error // set once retain fails; the run's output is void
 }
 
 func newOutputBuilder(cfg Config, p Params) *outputBuilder {
 	return &outputBuilder{cfg: cfg, p: p, bw: sstable.NewBlockWriter(p.RestartInterval)}
 }
 
-// retain copies b into the arena's retained-output region when one is
-// attached and has room; otherwise it heap-allocates the copy (the
-// pre-arena behavior, also the overflow path once the region fills).
+// errOutputRegionFull fails a run whose output outgrows the arena's
+// retained-output region; the dispatcher reruns the job in software.
+var errOutputRegionFull = fmt.Errorf("%w: retained-output region full", compaction.ErrArenaExhausted)
+
+// retain copies b into the arena's retained-output region. When the
+// region is full it records an error wrapping compaction.ErrArenaExhausted,
+// which add and finish return, and hands back nil.
 //
 //fcae:cycle-accounting
 func (o *outputBuilder) retain(b []byte) []byte {
-	if dst, ok := o.p.Arena.takeOut(len(b)); ok {
-		//fcae:alloc-ok arena-backed: takeOut pre-carved exactly len(b) capacity, append cannot grow
-		return append(dst, b...)
+	dst, ok := o.p.Arena.takeOut(len(b))
+	if !ok {
+		o.err = errOutputRegionFull
+		return nil
 	}
-	//fcae:alloc-ok retained output must outlive the merge loop; the arena is absent or its output region is full
-	return append([]byte(nil), b...)
+	copy(dst, b)
+	return dst
 }
 
 // add encodes one pair, returning any extra encoder cycles spent flushing
@@ -498,7 +507,7 @@ func (o *outputBuilder) add(ikey, value []byte) (float64, error) {
 			o.wantClose = true
 		}
 	}
-	return cycles, nil
+	return cycles, o.err
 }
 
 // flushBlock finalizes the current data block into the output image.
@@ -508,7 +517,7 @@ func (o *outputBuilder) flushBlock() float64 {
 	}
 	// FinishInto reuses fbuf as the finished-block scratch, so contents
 	// is NOT safe to retain directly: whichever encoding wins, the kept
-	// payload goes through retain (arena region or heap copy).
+	// payload is copied into the arena by retain.
 	contents := o.bw.FinishInto(o.fbuf[:0])
 	o.fbuf = contents
 	ctype := byte(sstable.NoCompression)
@@ -554,5 +563,5 @@ func (o *outputBuilder) finish() (float64, error) {
 		cycles += blockFlushFixed
 	}
 	o.cur = nil
-	return cycles, nil
+	return cycles, o.err
 }

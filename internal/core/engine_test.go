@@ -125,6 +125,18 @@ func defaultJob(runs ...[]compaction.Table) *compaction.Job {
 	}
 }
 
+// stageJob stages job's runs in an arena sized for it by ArenaBytesFor,
+// returning the images and the arena to pass as Params.Arena.
+func stageJob(t *testing.T, job *compaction.Job, wIn int) ([]*InputImage, *Arena) {
+	t.Helper()
+	a := NewArena(ArenaBytesFor(job.InputBytes()))
+	images, err := StageJob(a, job, wIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return images, a
+}
+
 func TestEngineMatchesCPUExecutor(t *testing.T) {
 	opts := sstable.Options{Compression: sstable.SnappyCompression, FilterBitsPerKey: 10}
 	// Two interleaved runs with overlapping key space and some shadowing.
@@ -311,15 +323,8 @@ func TestEngineCyclesMatchBottleneckModel(t *testing.T) {
 
 	cfg := DefaultConfig()
 	eng, _ := NewEngine(cfg)
-	var images []*InputImage
-	for _, r := range job.Runs {
-		img, err := BuildInputImage(r, cfg.WIn, job.TableOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		images = append(images, img)
-	}
-	res, err := eng.Run(images, Params{Compress: true, SmallestSnapshot: keys.MaxSeq, BottomLevel: true})
+	images, arena := stageJob(t, job, cfg.WIn)
+	res, err := eng.Run(images, Params{Compress: true, SmallestSnapshot: keys.MaxSeq, BottomLevel: true, Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,12 +430,12 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 
 func TestEngineRejectsCorruptDeviceImage(t *testing.T) {
 	opts := sstable.Options{Compression: sstable.SnappyCompression}
-	table := buildTable(t, opts, genRun("k", 500, 64, 1))
-	img, err := BuildInputImage([]compaction.Table{table}, 64, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := defaultJob([]compaction.Table{buildTable(t, opts, genRun("k", 500, 64, 1))})
+	job.TableOpts = opts
+	images, arena := stageJob(t, job, 64)
+	img := images[0]
 	eng, _ := NewEngine(DefaultConfig())
+	p := Params{Arena: arena}
 
 	// Corrupt a compressed block payload: snappy decode must fail loudly.
 	corrupted := *img
@@ -441,7 +446,7 @@ func TestEngineRejectsCorruptDeviceImage(t *testing.T) {
 	}
 	off := entries[0].Offset + 3
 	corrupted.DataMem[off] ^= 0xff
-	if _, err := eng.Run([]*InputImage{&corrupted}, Params{}); err == nil {
+	if _, err := eng.Run([]*InputImage{&corrupted}, p); err == nil {
 		t.Fatal("corrupted block payload accepted")
 	}
 
@@ -450,7 +455,7 @@ func TestEngineRejectsCorruptDeviceImage(t *testing.T) {
 	truncated.Tables = append([]TableDesc(nil), img.Tables...)
 	truncated.Tables[0].IndexLen = 2
 	truncated.Tables[0].NumBlocks = 3
-	if _, err := eng.Run([]*InputImage{&truncated}, Params{}); err == nil {
+	if _, err := eng.Run([]*InputImage{&truncated}, p); err == nil {
 		t.Fatal("truncated index stream accepted")
 	}
 
@@ -458,7 +463,7 @@ func TestEngineRejectsCorruptDeviceImage(t *testing.T) {
 	oob := *img
 	oob.IndexMem = appendIndexEntry(nil, IndexEntry{LastKey: []byte("x"), Offset: 1 << 40, Size: 64})
 	oob.Tables = []TableDesc{{IndexOff: 0, IndexLen: uint64(len(oob.IndexMem)), NumBlocks: 1}}
-	if _, err := eng.Run([]*InputImage{&oob}, Params{}); err == nil {
+	if _, err := eng.Run([]*InputImage{&oob}, p); err == nil {
 		t.Fatal("out-of-range block reference accepted")
 	}
 }
@@ -471,15 +476,8 @@ func TestEngineStageBusyAccounting(t *testing.T) {
 	)
 	cfg := DefaultConfig()
 	eng, _ := NewEngine(cfg)
-	var images []*InputImage
-	for _, r := range job.Runs {
-		img, err := BuildInputImage(r, cfg.WIn, job.TableOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		images = append(images, img)
-	}
-	res, err := eng.Run(images, Params{Compress: true, SmallestSnapshot: keys.MaxSeq})
+	images, arena := stageJob(t, job, cfg.WIn)
+	res, err := eng.Run(images, Params{Compress: true, SmallestSnapshot: keys.MaxSeq, Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,17 +510,11 @@ func TestEngineTrace(t *testing.T) {
 	)
 	cfg := DefaultConfig()
 	eng, _ := NewEngine(cfg)
-	var images []*InputImage
-	for _, r := range job.Runs {
-		img, err := BuildInputImage(r, cfg.WIn, job.TableOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		images = append(images, img)
-	}
+	images, arena := stageJob(t, job, cfg.WIn)
 	var trace bytes.Buffer
 	_, err := eng.Run(images, Params{
 		SmallestSnapshot: keys.MaxSeq,
+		Arena:            arena,
 		TraceWriter:      &trace,
 		TraceLimit:       20,
 	})

@@ -20,9 +20,9 @@ type Executor struct {
 
 	mu sync.Mutex
 
-	// arena is the channel's persistent device-memory staging allocation
-	// (nil when disabled via Config.StagingBytes < 0); Reset at the start
-	// of every job, so each compaction reuses the same backing slab.
+	// arena is the channel's persistent device-memory staging allocation,
+	// rewound at the start of every job so each compaction reuses the
+	// same backing slab.
 	arena *Arena
 
 	// Totals since creation, surfaced in DB stats.
@@ -41,8 +41,8 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	return &Executor{engine: eng, arena: NewArena(eng.cfg.ArenaBytes())}, nil
 }
 
-// ArenaBytes reports the channel's staging-arena capacity (0 when the
-// arena is disabled), implementing the dispatcher's ArenaSizer.
+// ArenaBytes reports the channel's staging-arena capacity, implementing
+// the dispatcher's ArenaSizer.
 func (x *Executor) ArenaBytes() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -50,7 +50,7 @@ func (x *Executor) ArenaBytes() int64 {
 }
 
 // ArenaInputBudget reports the largest job input size the arena can
-// stage (0 when disabled), implementing the dispatcher's ArenaSizer.
+// stage, implementing the dispatcher's ArenaSizer.
 func (x *Executor) ArenaInputBudget() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -58,9 +58,9 @@ func (x *Executor) ArenaInputBudget() int64 {
 }
 
 // ArenaHighWater reports the peak staging-arena occupancy over the
-// channel's lifetime (0 when disabled), implementing the dispatcher's
-// ArenaSizer. Near-capacity values mean jobs are about to spill to heap
-// fallback; far-below-capacity values mean the carve is oversized.
+// channel's lifetime, implementing the dispatcher's ArenaSizer.
+// Near-capacity values mean jobs are about to fall back to software;
+// far-below-capacity values mean the carve is oversized.
 func (x *Executor) ArenaHighWater() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -87,26 +87,21 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	// Step 3-4 (paper §IV): serialize each input into its device image.
 	// The MetaIn block crosses the DMA boundary as real bytes (Fig 8);
 	// the "device side" decodes it back before the engine starts.
-	// The previous job's staged images are dead once its result has been
-	// assembled; rewind the arena so this job reuses the backing slab.
-	x.arena.Reset()
-
+	// StageJob rewinds the arena first: the previous job's staged images
+	// are dead once its result has been assembled, so this job reuses the
+	// backing slab.
 	buildDone := job.Trace.StartSpan("build_images")
-	images := make([]*InputImage, 0, len(job.Runs))
-	for _, run := range job.Runs {
-		img, err := BuildInputImageArena(run, x.engine.cfg.WIn, job.TableOpts, x.arena)
-		if err != nil {
-			return nil, err
-		}
+	images, err := StageJob(x.arena, job, x.engine.cfg.WIn)
+	if err != nil {
+		return nil, err
+	}
+	var shipBytes int64
+	for _, img := range images {
 		descs, err := DecodeMetaIn(EncodeMetaIn(img))
 		if err != nil {
 			return nil, fmt.Errorf("core: MetaIn round trip: %w", err)
 		}
 		img.Tables = descs
-		images = append(images, img)
-	}
-	var shipBytes int64
-	for _, img := range images {
 		shipBytes += img.Bytes()
 	}
 	buildDone()
@@ -201,31 +196,32 @@ func (x *Executor) PublishMetrics(r *obs.Registry) {
 	})
 }
 
-// BuildInputImage serializes one sorted run of tables into a device image
-// (paper Fig 7: index blocks continuous, data blocks WIn-aligned).
-func BuildInputImage(run []compaction.Table, wIn int, opts sstable.Options) (*InputImage, error) {
-	return BuildInputImageArena(run, wIn, opts, nil)
-}
-
-// BuildInputImageArena is BuildInputImage staging into a channel arena (a
-// nil arena heap-allocates). It fails with an error wrapping
-// compaction.ErrArenaExhausted when the run does not fit the arena.
-func BuildInputImageArena(run []compaction.Table, wIn int, opts sstable.Options, a *Arena) (*InputImage, error) {
-	b := NewInputBuilderArena(wIn, a)
-	for _, t := range run {
-		r, err := sstable.NewReader(t.Data, t.Size, opts, nil, t.Num)
-		if err != nil {
-			return nil, fmt.Errorf("core: open input table %d: %w", t.Num, err)
+// StageJob rewinds a and serializes each of the job's sorted runs into a
+// device input image inside it (paper Fig 7: index blocks continuous,
+// data blocks wIn-aligned). Images staged or output retained in a before
+// the call are dead after it. It fails with an error wrapping
+// compaction.ErrArenaExhausted when the runs do not fit the arena.
+func StageJob(a *Arena, job *compaction.Job, wIn int) ([]*InputImage, error) {
+	a.Reset()
+	images := make([]*InputImage, 0, len(job.Runs))
+	for _, run := range job.Runs {
+		b := NewInputBuilder(wIn, a)
+		for _, t := range run {
+			r, err := sstable.NewReader(t.Data, t.Size, job.TableOpts, nil, t.Num)
+			if err != nil {
+				return nil, fmt.Errorf("core: open input table %d: %w", t.Num, err)
+			}
+			b.BeginTable()
+			err = r.VisitRawBlocks(func(rb sstable.RawBlock) error {
+				return b.AddBlock(rb.IndexKey, rb.CType, rb.Payload)
+			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		b.BeginTable()
-		err = r.VisitRawBlocks(func(rb sstable.RawBlock) error {
-			return b.AddBlock(rb.IndexKey, rb.CType, rb.Payload)
-		})
-		if err != nil {
-			return nil, err
-		}
+		images = append(images, b.Finish())
 	}
-	return b.Finish(), nil
+	return images, nil
 }
 
 // assembleTable writes one output image as a standard table file.

@@ -80,11 +80,12 @@ func (im *InputImage) BlockSlice(e IndexEntry) ([]byte, error) {
 // region, a data-block region and a retained-output region, carved once
 // from a single backing slab and bump-allocated per job. Reset rewinds
 // all three so the next compaction reuses the same backing memory — the
-// point is that steady-state offload does no per-job `make`s.
+// point is that steady-state offload does no per-job `make`s. A job that
+// does not fit fails with compaction.ErrArenaExhausted and is merged in
+// software instead (paper §VI-A).
 //
 // An Arena is NOT safe for concurrent use; the owning Executor serializes
-// jobs per channel. A nil *Arena is valid everywhere and means "no arena"
-// (heap allocation, the pre-arena behavior).
+// jobs per channel.
 type Arena struct {
 	index []byte
 	data  []byte
@@ -101,12 +102,8 @@ type Arena struct {
 }
 
 // NewArena carves a staging arena from total bytes: 1/8 index region,
-// 1/2 data region, the remainder for retained output. total <= 0 returns
-// nil (arena disabled).
+// 1/2 data region, the remainder for retained output.
 func NewArena(total int64) *Arena {
-	if total <= 0 {
-		return nil
-	}
 	slab := make([]byte, total)
 	idx := total / 8
 	data := total / 2
@@ -120,36 +117,24 @@ func NewArena(total int64) *Arena {
 // Reset rewinds all three regions; previously returned slices are dead
 // after Reset and must not be retained across jobs.
 func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
 	a.indexOff, a.dataOff, a.outOff = 0, 0, 0
 }
 
-// Cap returns the arena's total backing size in bytes; 0 for nil.
+// Cap returns the arena's total backing size in bytes.
 func (a *Arena) Cap() int64 {
-	if a == nil {
-		return 0
-	}
 	return int64(len(a.index) + len(a.data) + len(a.out))
 }
 
 // InUse returns the bytes currently consumed across all regions.
 func (a *Arena) InUse() int64 {
-	if a == nil {
-		return 0
-	}
 	return int64(a.indexOff + a.dataOff + a.outOff)
 }
 
 // HighWater returns the peak InUse the arena has ever reached. Unlike
 // InUse it is not rewound by Reset, so it reports lifetime pressure:
-// HighWater near Cap means jobs are close to spilling to heap fallback.
-// 0 for nil.
+// HighWater near Cap means jobs are close to exhausting the arena and
+// falling back to software.
 func (a *Arena) HighWater() int64 {
-	if a == nil {
-		return 0
-	}
 	return a.highWater
 }
 
@@ -165,76 +150,61 @@ func (a *Arena) noteHighWater() {
 // 1/8 margin for per-block compression-type bytes and alignment padding.
 // The dispatcher uses it for admission; jobs above it route to CPU.
 func (a *Arena) InputBudget() int64 {
-	if a == nil {
-		return 0
-	}
 	return int64(len(a.data) - len(a.data)/8)
 }
 
-// indexRegion returns the unconsumed index region as an empty slice with
-// the remaining capacity; appends fill the arena in place.
-func (a *Arena) indexRegion() []byte {
-	return a.index[a.indexOff:a.indexOff]
-}
-
-// dataRegion is indexRegion's data-side counterpart.
-func (a *Arena) dataRegion() []byte {
-	return a.data[a.dataOff:a.dataOff]
+// ArenaBytesFor sizes the arena of a caller that stages one job without a
+// channel: 4× the job's input bytes, so the InputBudget is 1.75× the
+// input and the retained-output region (1.5×) holds an output half again
+// as large as the input (blocks stored raw, last-keys, filter keys).
+func ArenaBytesFor(inputBytes int64) int64 {
+	return 4 * inputBytes
 }
 
 // commitStaging advances the bump pointers past a finished image's
 // staged bytes, so the next builder on the same arena starts after them.
 func (a *Arena) commitStaging(indexLen, dataLen int) {
-	if a == nil {
-		return
-	}
 	a.indexOff += indexLen
 	a.dataOff += dataLen
 	a.noteHighWater()
 }
 
-// takeOut reserves n bytes of the retained-output region, returning an
-// empty slice with capacity exactly n for the caller to append into.
-// ok is false when the region is exhausted (the caller heap-allocates).
+// takeOut reserves n bytes of the retained-output region, returning a
+// slice of exactly n bytes for the caller to fill. ok is false when the
+// region is exhausted.
 func (a *Arena) takeOut(n int) (dst []byte, ok bool) {
-	if a == nil || n > len(a.out)-a.outOff {
+	if n > len(a.out)-a.outOff {
 		return nil, false
 	}
-	dst = a.out[a.outOff : a.outOff : a.outOff+n]
+	dst = a.out[a.outOff : a.outOff+n : a.outOff+n]
 	a.outOff += n
 	a.noteHighWater()
 	return dst, true
 }
 
-// InputBuilder assembles an InputImage table by table. With an arena
-// attached (NewInputBuilderArena) the image's index and data memory are
-// staged inside the arena's regions and AddBlock reports
-// compaction.ErrArenaExhausted when a block would overflow them; without
-// one, appends grow heap slices and AddBlock never fails.
+// InputBuilder assembles an InputImage table by table, staging the
+// image's index and data memory inside an arena's regions. AddBlock
+// reports compaction.ErrArenaExhausted when a block would overflow them.
 type InputBuilder struct {
 	img   InputImage
 	align int
 	arena *Arena
 }
 
-// NewInputBuilder returns a builder aligning data blocks to wIn bytes.
-func NewInputBuilder(wIn int) *InputBuilder {
-	return NewInputBuilderArena(wIn, nil)
-}
-
-// NewInputBuilderArena returns a builder staging the image inside a (nil
-// means heap allocation). Builders on the same arena must be finished in
-// sequence; Finish commits the staged bytes.
-func NewInputBuilderArena(wIn int, a *Arena) *InputBuilder {
-	if wIn < 1 {
-		wIn = 1
+// NewInputBuilder returns a builder staging an image inside a, aligning
+// data blocks to wIn bytes. The image starts as empty slices over the
+// unconsumed index and data regions, so appends fill the arena in place.
+// Builders on the same arena must be finished in sequence; Finish commits
+// the staged bytes.
+func NewInputBuilder(wIn int, a *Arena) *InputBuilder {
+	return &InputBuilder{
+		img: InputImage{
+			IndexMem: a.index[a.indexOff:a.indexOff],
+			DataMem:  a.data[a.dataOff:a.dataOff],
+		},
+		align: max(wIn, 1),
+		arena: a,
 	}
-	b := &InputBuilder{align: wIn, arena: a}
-	if a != nil {
-		b.img.IndexMem = a.indexRegion()
-		b.img.DataMem = a.dataRegion()
-	}
-	return b
 }
 
 // BeginTable starts a new SSTable within the input.
@@ -245,24 +215,22 @@ func (b *InputBuilder) BeginTable() {
 }
 
 // AddBlock appends one raw data block (compression-type byte + payload)
-// and its index entry to the current table. On an arena-backed builder it
-// returns an error wrapping compaction.ErrArenaExhausted when the block
-// would overflow a staging region; heap-backed builders never fail.
+// and its index entry to the current table. It returns an error wrapping
+// compaction.ErrArenaExhausted when the block would overflow a staging
+// region.
 func (b *InputBuilder) AddBlock(lastKey []byte, ctype byte, payload []byte) error {
-	if b.arena != nil {
-		// Conservative worst-case growth so append can never reallocate
-		// out of the arena: ctype + payload + full alignment pad on the
-		// data side, three max-width varints + key on the index side.
-		dataNeed := 1 + len(payload) + b.align
-		idxNeed := len(lastKey) + 3*binary.MaxVarintLen64
-		if len(b.img.DataMem)+dataNeed > cap(b.img.DataMem) {
-			return fmt.Errorf("%w: data region (%d staged, block needs %d, cap %d)",
-				compaction.ErrArenaExhausted, len(b.img.DataMem), dataNeed, cap(b.img.DataMem))
-		}
-		if len(b.img.IndexMem)+idxNeed > cap(b.img.IndexMem) {
-			return fmt.Errorf("%w: index region (%d staged, entry needs %d, cap %d)",
-				compaction.ErrArenaExhausted, len(b.img.IndexMem), idxNeed, cap(b.img.IndexMem))
-		}
+	// Conservative worst-case growth so append can never reallocate out
+	// of the arena: ctype + payload + full alignment pad on the data
+	// side, three max-width varints + key on the index side.
+	dataNeed := 1 + len(payload) + b.align
+	idxNeed := len(lastKey) + 3*binary.MaxVarintLen64
+	if len(b.img.DataMem)+dataNeed > cap(b.img.DataMem) {
+		return fmt.Errorf("%w: data region (%d staged, block needs %d, cap %d)",
+			compaction.ErrArenaExhausted, len(b.img.DataMem), dataNeed, cap(b.img.DataMem))
+	}
+	if len(b.img.IndexMem)+idxNeed > cap(b.img.IndexMem) {
+		return fmt.Errorf("%w: index region (%d staged, entry needs %d, cap %d)",
+			compaction.ErrArenaExhausted, len(b.img.IndexMem), idxNeed, cap(b.img.IndexMem))
 	}
 	if len(b.img.Tables) == 0 {
 		b.BeginTable()
@@ -286,13 +254,11 @@ func (b *InputBuilder) AddBlock(lastKey []byte, ctype byte, payload []byte) erro
 	return nil
 }
 
-// Finish returns the completed image. On an arena-backed builder it also
-// commits the staged bytes, so a following builder on the same arena
-// (the job's next run) starts past them.
+// Finish returns the completed image and commits its staged bytes, so a
+// following builder on the same arena (the job's next run) starts past
+// them.
 func (b *InputBuilder) Finish() *InputImage {
-	if b.arena != nil {
-		b.arena.commitStaging(len(b.img.IndexMem), len(b.img.DataMem))
-	}
+	b.arena.commitStaging(len(b.img.IndexMem), len(b.img.DataMem))
 	return &b.img
 }
 

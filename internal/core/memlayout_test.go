@@ -6,7 +6,7 @@ import (
 )
 
 func TestInputImageRoundTrip(t *testing.T) {
-	b := NewInputBuilder(64)
+	b := NewInputBuilder(64, NewArena(1<<16))
 	b.BeginTable()
 	b.AddBlock([]byte("key-a"), 1, []byte("payload-one"))
 	b.AddBlock([]byte("key-b"), 0, []byte("payload-two-longer"))
@@ -42,7 +42,7 @@ func TestInputImageRoundTrip(t *testing.T) {
 func TestInputImageAlignment(t *testing.T) {
 	// Data blocks must be WIn-aligned (paper Fig 7).
 	for _, align := range []int{8, 16, 64} {
-		b := NewInputBuilder(align)
+		b := NewInputBuilder(align, NewArena(1<<16))
 		b.BeginTable()
 		b.AddBlock([]byte("k1"), 0, []byte("xyz"))
 		b.AddBlock([]byte("k2"), 0, []byte("0123456789abcdef0123"))
@@ -78,7 +78,7 @@ func TestDecodeIndexErrors(t *testing.T) {
 }
 
 func TestImageBytesAccounting(t *testing.T) {
-	b := NewInputBuilder(8)
+	b := NewInputBuilder(8, NewArena(1<<16))
 	b.BeginTable()
 	b.AddBlock([]byte("k"), 0, bytes.Repeat([]byte("x"), 1000))
 	img := b.Finish()
@@ -104,7 +104,7 @@ func TestOutputTableImageAccounting(t *testing.T) {
 }
 
 func TestMetaInRoundTrip(t *testing.T) {
-	b := NewInputBuilder(16)
+	b := NewInputBuilder(16, NewArena(1<<16))
 	b.BeginTable()
 	b.AddBlock([]byte("a"), 0, []byte("one"))
 	b.AddBlock([]byte("b"), 1, []byte("two"))

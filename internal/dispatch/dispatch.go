@@ -244,8 +244,8 @@ type Stats struct {
 	ArenaBytes int64 `json:"arena_bytes"`
 	// ArenaHighWater is each channel's peak staging-arena occupancy
 	// (indexed like LaneJobs; 0 for channels without an arena). Peaks
-	// near the per-channel capacity mean jobs are about to spill to
-	// heap fallback; peaks far below it mean the carve is oversized.
+	// near the per-channel capacity mean jobs are about to fall back to
+	// the CPU lane; peaks far below it mean the carve is oversized.
 	ArenaHighWater []int64 `json:"arena_high_water,omitempty"`
 }
 

@@ -2,10 +2,12 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -530,4 +532,75 @@ func TestArenaFallbackIntegrity(t *testing.T) {
 		t.Fatalf("dispatch_fallback_arena gauge = 0, want > 0")
 	}
 	t.Logf("dispatch = %+v", ds)
+}
+
+// outputExhaustCounter wraps an engine channel (keeping its arena sizing
+// visible to admission) and counts jobs whose inputs staged but whose
+// merge output overflowed the arena's retained-output region.
+type outputExhaustCounter struct {
+	*core.Executor
+	n atomic.Int64
+}
+
+func (c *outputExhaustCounter) Compact(job *compaction.Job, env compaction.Env) (*compaction.Result, error) {
+	res, err := c.Executor.Compact(job, env)
+	if errors.Is(err, compaction.ErrArenaExhausted) && strings.Contains(err.Error(), "retained-output") {
+		c.n.Add(1)
+	}
+	return res, err
+}
+
+// TestArenaOutputExhaustionFallsBack drives jobs that pass the arena's
+// input admission but whose merge output (small values plus per-key
+// filter keys) outgrows the retained-output region. Each such job must
+// finish on the CPU lane, counted as an arena fallback, with no data
+// lost.
+func TestArenaOutputExhaustionFallsBack(t *testing.T) {
+	cfg := core.MultiInputConfig()
+	cfg.StagingBytes = 64 << 10 // 28 KiB input budget, 24 KiB output region
+	exec, err := core.NewExecutor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &outputExhaustCounter{Executor: exec}
+	db := openTest(t, Options{
+		MemTableBytes:      16 << 10,
+		BaseLevelBytes:     32 << 10,
+		MaxOutputFileBytes: 16 << 10,
+		BlockCacheBytes:    1 << 20,
+		DispatchConfig:     DispatchConfig{Devices: []compaction.Executor{dev}, Workers: 2},
+	})
+
+	rng := rand.New(rand.NewSource(13))
+	model := map[string]string{}
+	deadline := time.Now().Add(60 * time.Second)
+	for dev.n.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no job overflowed the output region: dispatch = %+v", db.DispatchStats())
+		}
+		for i := 0; i < 300; i++ {
+			k := fmt.Sprintf("key%07d", rng.Intn(1<<20))
+			v := make([]byte, 16)
+			rng.Read(v)
+			if err := db.Put([]byte(k), v); err != nil {
+				t.Fatal(err)
+			}
+			model[k] = string(v)
+		}
+	}
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range model {
+		got, err := db.Get([]byte(k))
+		if err != nil || string(got) != want {
+			t.Fatalf("Get(%s) = %q, %v after output-region fallbacks", k, got, err)
+		}
+	}
+	ds := db.DispatchStats()
+	if ds.FallbackArena < dev.n.Load() || ds.CPUJobs < dev.n.Load() {
+		t.Fatalf("%d output-region overflows, dispatch = %+v: each must count as an arena fallback run on the CPU lane",
+			dev.n.Load(), ds)
+	}
+	t.Logf("output-region overflows = %d, dispatch = %+v", dev.n.Load(), ds)
 }

@@ -473,3 +473,32 @@ func TestCorruptCurrentRejected(t *testing.T) {
 		t.Fatal("CURRENT pointing at a missing manifest accepted")
 	}
 }
+
+// TestSetCurrent checks CURRENT's contents after each switch, that the
+// synced temp file does not linger, and that a missing directory is an
+// error. (Crash-point durability needs a fault-injecting file system.)
+func TestSetCurrent(t *testing.T) {
+	dir := t.TempDir()
+	for _, num := range []uint64{3, 12} {
+		if err := setCurrent(dir, num); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(CurrentPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("MANIFEST-%06d\n", num); string(got) != want {
+			t.Fatalf("CURRENT = %q, want %q", got, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after setCurrent, want only CURRENT", len(entries))
+	}
+	if err := setCurrent(dir+"/missing", 4); err == nil {
+		t.Fatal("setCurrent into a missing directory succeeded")
+	}
+}

@@ -216,14 +216,44 @@ func (vs *VersionSet) rollManifestLocked() error {
 	return nil
 }
 
-// setCurrent atomically points CURRENT at manifest num.
+// setCurrent atomically and durably points CURRENT at manifest num. The
+// temp file is synced before the rename, so a crash cannot leave CURRENT
+// naming empty or partial contents, and the directory is synced after
+// it, so the rename itself survives the crash.
 func setCurrent(dir string, num uint64) error {
 	tmp := filepath.Join(dir, fmt.Sprintf("CURRENT.%06d.tmp", num))
-	content := fmt.Sprintf("MANIFEST-%06d\n", num)
-	if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, CurrentPath(dir))
+	_, err = fmt.Fprintf(f, "MANIFEST-%06d\n", num)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the write error is the one to report
+		return err
+	}
+	if err := os.Rename(tmp, CurrentPath(dir)); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making renames and creations in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close releases the manifest file handle.

@@ -15,7 +15,7 @@ import (
 )
 
 // names lists the flags Bind registers.
-var names = []string{"backend", "workers", "device-channels", "fault-rate", "fault-seed", "priority-lanes", "arena-bytes"}
+var names = []string{"backend", "workers", "device-channels", "fault-rate", "fault-seed", "priority-lanes"}
 
 // Flags holds the parsed store flags.
 type Flags struct {
@@ -32,8 +32,6 @@ type Flags struct {
 	FaultSeed int64
 	// PriorityLanes dispatches L0 jobs ahead of deep-level jobs.
 	PriorityLanes bool
-	// ArenaBytes sizes each channel's device staging arena.
-	ArenaBytes int64
 
 	fs *flag.FlagSet
 }
@@ -47,7 +45,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.FaultRate, "fault-rate", 0, "device fault injection probability [0,1]; backend=fcae only")
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 1, "fault injector RNG seed")
 	fs.BoolVar(&f.PriorityLanes, "priority-lanes", true, "dispatch L0 jobs ahead of deep-level jobs (false = single FIFO)")
-	fs.Int64Var(&f.ArenaBytes, "arena-bytes", 0, "per-channel device staging arena size (0 = modeled default, <0 disables); backend=fcae only")
 	return f
 }
 
@@ -72,15 +69,10 @@ func (f *Flags) Options() (lsm.Options, error) {
 		if f.FaultRate > 0 {
 			return o, fmt.Errorf("-fault-rate requires -backend fcae (no device to fault)")
 		}
-		if f.ArenaBytes != 0 {
-			return o, fmt.Errorf("-arena-bytes requires -backend fcae (no device memory to stage)")
-		}
 	case "fcae":
-		cfg := core.MultiInputConfig()
-		cfg.StagingBytes = f.ArenaBytes
 		devs := make([]compaction.Executor, f.Channels)
 		for i := range devs {
-			exec, err := core.NewExecutor(cfg)
+			exec, err := core.NewExecutor(core.MultiInputConfig())
 			if err != nil {
 				return o, err
 			}

@@ -35,13 +35,11 @@ func TestOptions(t *testing.T) {
 		{name: "workers reach the pool", args: []string{"-workers", "3"}, workers: 3},
 		{name: "single FIFO", args: []string{"-priority-lanes=false"}, workers: 2, fifo: true},
 		{name: "fcae channels", args: []string{"-backend", "fcae", "-device-channels", "2"}, devices: 2, workers: 2},
-		{name: "fcae faults and arena", args: []string{"-backend", "fcae", "-fault-rate", "0.2", "-arena-bytes", "1048576"},
-			devices: 1, workers: 2, injector: true},
+		{name: "fcae faults", args: []string{"-backend", "fcae", "-fault-rate", "0.2"}, devices: 1, workers: 2, injector: true},
 
 		{name: "unknown backend", args: []string{"-backend", "gpu"}, wantErr: `unknown -backend "gpu"`},
 		{name: "backend is case-sensitive", args: []string{"-backend", "FCAE"}, wantErr: `unknown -backend "FCAE"`},
 		{name: "fault rate without device", args: []string{"-fault-rate", "0.1"}, wantErr: "-fault-rate requires -backend fcae"},
-		{name: "arena without device", args: []string{"-arena-bytes", "4096"}, wantErr: "-arena-bytes requires -backend fcae"},
 		{name: "zero channels", args: []string{"-backend", "fcae", "-device-channels", "0"}, wantErr: "-device-channels must be >= 1"},
 		{name: "zero channels on cpu", args: []string{"-device-channels", "0"}, wantErr: "-device-channels must be >= 1"},
 		{name: "zero workers", args: []string{"-workers", "0"}, wantErr: "-workers must be >= 1"},
@@ -89,5 +87,10 @@ func TestExplicit(t *testing.T) {
 		if fs.Lookup(n) == nil {
 			t.Errorf("flag -%s is not registered", n)
 		}
+	}
+	registered := 0
+	fs.VisitAll(func(*flag.Flag) { registered++ })
+	if registered != len(names) {
+		t.Errorf("Bind registers %d flags, names lists %d", registered, len(names))
 	}
 }
